@@ -10,12 +10,15 @@
 #ifndef BABOL_BENCH_BENCH_COMMON_HH
 #define BABOL_BENCH_BENCH_COMMON_HH
 
+#include <limits>
 #include <memory>
 #include <string>
 
+#include "core/controller_factory.hh"
 #include "core/coro/coro_controller.hh"
 #include "core/hw/hw_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
+#include "obs/cli.hh"
 #include "sim/table.hh"
 
 namespace babol::bench {
@@ -27,25 +30,28 @@ using core::FlashOpKind;
 using core::FlashRequest;
 using core::OpResult;
 
-/** Controller flavours the experiments compare. */
+/** A bench controller named "ctrl", of any flavour core::parseFlavor()
+ *  accepts. */
 inline std::unique_ptr<ChannelController>
 makeController(const std::string &flavor, EventQueue &eq,
                ChannelSystem &sys, std::uint32_t cpu_mhz = 1000)
 {
     core::SoftControllerConfig soft;
     soft.cpuMhz = cpu_mhz;
-    if (flavor == "coro")
-        return std::make_unique<core::CoroController>(eq, "ctrl", sys,
-                                                      soft);
-    if (flavor == "rtos")
-        return std::make_unique<core::RtosController>(eq, "ctrl", sys,
-                                                      soft);
-    if (flavor == "hw" || flavor == "hw-async")
-        return std::make_unique<core::HwController>(eq, "ctrl", sys,
-                                                    false);
-    if (flavor == "hw-sync")
-        return std::make_unique<core::HwController>(eq, "ctrl", sys, true);
-    fatal("unknown controller flavor '%s'", flavor.c_str());
+    return core::makeController(core::flavorOrFatal(flavor), eq, "ctrl", sys,
+                                soft);
+}
+
+/** The positive 32-bit count given for @p flag, or fatal(). */
+inline std::uint32_t
+countArg(const std::string &flag, const char *text)
+{
+    auto n = obs::cli::parseCount(text,
+                                  std::numeric_limits<std::uint32_t>::max());
+    if (!n)
+        fatal("%s needs a positive whole number, got '%s'", flag.c_str(),
+              text);
+    return static_cast<std::uint32_t>(*n);
 }
 
 /** Run one request to completion on the shared event queue. */

@@ -38,20 +38,22 @@ run(nand::Vendor vendor, std::uint32_t rate_mt, const std::string &flavor,
     return runChannelReadWorkload(eq, sys, *ctrl, luns, 30);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+fig10Main(int argc, char **argv)
 {
     bool quick = false, csv = false;
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
         if (obs_opts.parse(argc, argv, i))
             continue;
-        if (std::string(argv[i]) == "--quick")
+        const std::string arg = argv[i];
+        if (arg == "--quick")
             quick = true;
-        if (std::string(argv[i]) == "--csv")
+        else if (arg == "--csv")
             csv = true;
+        else
+            fatal("usage: fig10_sw_overhead [--quick] [--csv] %s",
+                  obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
 
@@ -112,4 +114,12 @@ main(int argc, char **argv)
                  "coroutines want a fast core; throughput\ngrows with "
                  "LUNs until the channel saturates.\n";
     return obs_opts.finalize();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return obs::cli::guardedMain([&] { return fig10Main(argc, argv); });
 }

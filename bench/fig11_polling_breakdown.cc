@@ -104,10 +104,8 @@ measure(const std::string &flavor)
     return report;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+fig11Main(int argc, char **argv)
 {
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
@@ -149,4 +147,12 @@ main(int argc, char **argv)
     std::cout << "\n--- Logic-analyzer view (Coroutine) ---\n"
               << coro.timeline;
     return obs_opts.finalize();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return obs::cli::guardedMain([&] { return fig11Main(argc, argv); });
 }

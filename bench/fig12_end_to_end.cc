@@ -10,7 +10,6 @@
  * ARM, as in the paper.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -113,7 +112,7 @@ runShardedNvme(const std::string &flavor, std::uint32_t channels,
 {
     ssd::SsdConfig cfg;
     cfg.channels = channels;
-    cfg.flavor = flavor == "hw" ? "hw-async" : flavor;
+    cfg.flavor = flavor;
     cfg.channel.package = nand::hynixPackage();
     cfg.channel.chips = ways;
     cfg.channel.rateMT = 200;
@@ -180,7 +179,7 @@ runShardedSsd(const std::string &flavor, std::uint32_t channels,
 {
     ssd::SsdConfig cfg;
     cfg.channels = channels;
-    cfg.flavor = flavor == "hw" ? "hw-async" : flavor;
+    cfg.flavor = flavor;
     cfg.channel.package = nand::hynixPackage();
     cfg.channel.chips = ways;
     cfg.channel.rateMT = 200;
@@ -223,10 +222,8 @@ runShardedSsd(const std::string &flavor, std::uint32_t channels,
     return {engine.bandwidthMBps(), njPerIoDelta(e0, e1, 300)};
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+fig12Main(int argc, char **argv)
 {
     bool quick = false, csv = false;
     std::uint32_t threads = 0; // 0 = classic single-queue engine
@@ -235,14 +232,19 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (obs_opts.parse(argc, argv, i))
             continue;
-        if (std::string(argv[i]) == "--quick")
+        const std::string arg = argv[i];
+        if (arg == "--quick")
             quick = true;
-        if (std::string(argv[i]) == "--csv")
+        else if (arg == "--csv")
             csv = true;
-        if (std::string(argv[i]) == "--threads" && i + 1 < argc)
-            threads = std::strtoul(argv[++i], nullptr, 10);
-        if (std::string(argv[i]) == "--qpairs" && i + 1 < argc)
-            qpairs = std::strtoul(argv[++i], nullptr, 10);
+        else if (arg == "--threads" && i + 1 < argc)
+            threads = countArg(arg, argv[++i]);
+        else if (arg == "--qpairs" && i + 1 < argc)
+            qpairs = countArg(arg, argv[++i]);
+        else
+            fatal("usage: fig12_end_to_end [--quick] [--csv] [--threads T] "
+                  "[--qpairs N] %s",
+                  obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
 
@@ -360,4 +362,12 @@ main(int argc, char **argv)
                  "(random) of the baseline;\ncoroutines within ~8% / "
                  "~9%.\n";
     return obs_opts.finalize();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return obs::cli::guardedMain([&] { return fig12Main(argc, argv); });
 }

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "core/controller_factory.hh"
 #include "host/hic.hh"
 #include "obs/cli.hh"
 #include "obs/perfetto.hh"
@@ -31,8 +32,10 @@
 
 using namespace babol;
 
+namespace {
+
 int
-main(int argc, char **argv)
+fullDeviceMain(int argc, char **argv)
 {
     std::string flavor = "coro";
     obs::cli::Options obs_opts;
@@ -42,7 +45,7 @@ main(int argc, char **argv)
         if (argv[i][0] != '-')
             flavor = argv[i];
         else
-            fatal("usage: full_device [coro|rtos|hw] %s",
+            fatal("usage: full_device [%s] %s", core::kFlavorChoices,
                   obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
@@ -50,7 +53,7 @@ main(int argc, char **argv)
     EventQueue eq;
     ssd::SsdConfig cfg;
     cfg.channels = 4;
-    cfg.flavor = flavor == "hw" ? "hw-async" : flavor;
+    cfg.flavor = core::flavorName(core::flavorOrFatal(flavor));
     cfg.channel.package = nand::hynixPackage();
     cfg.channel.package.geometry.pagesPerBlock = 32;
     cfg.channel.chips = 4;
@@ -173,4 +176,12 @@ main(int argc, char **argv)
     if (verify_errors != 0 || failures != 0)
         return 1;
     return obs_status;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return obs::cli::guardedMain([&] { return fullDeviceMain(argc, argv); });
 }

@@ -35,8 +35,9 @@
 #                  on every controller flavour under BABOL_AUDIT=1 with
 #                  RAIN + patrol scrub on, asserting zero acknowledged
 #                  data loss, byte-identical rerun and thread-count
-#                  digests, a surviving block failure, and the no-RAIN
-#                  control that MUST lose data (same build requirement)
+#                  digests, a power cut + remount inside the campaign, a
+#                  surviving block failure, and the no-RAIN control that
+#                  MUST lose data (same build requirement)
 #
 # Usage: scripts/ci.sh
 #   [--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|
@@ -240,6 +241,26 @@ stage_reliability() {
     }
     echo "    identical digests at 1, 2, and 4 threads"
 
+    # A power cut inside the campaign: freeze at the 120th ack, remount
+    # from OOB, then keep RAIN + scrub traffic going on the remounted
+    # device. Every acknowledged write must survive the cut, with the
+    # same digest at 1 and 4 worker threads.
+    echo "=== tier-1: reliability campaign across a power cut ==="
+    for flavor in coro rtos hw; do
+        for t in 1 4; do
+            BABOL_AUDIT=1 "$ROOT/build/examples/ssd_fio" "$flavor" \
+                --rain --scrub --crash-at 120 --threads "$t" \
+                --reliability-out "$ROOT/build/reliability-reports/rel_cut_${flavor}_t${t}.txt" \
+                >/dev/null
+        done
+        cmp "$ROOT/build/reliability-reports/rel_cut_${flavor}_t1.txt" \
+            "$ROOT/build/reliability-reports/rel_cut_${flavor}_t4.txt" || {
+            echo "FAIL: $flavor power-cut campaign differs between 1 and 4 threads"
+            exit 1
+        }
+    done
+    echo "    every flavour clean across the cut, identical at 1 and 4 threads"
+
     echo "=== tier-1: reliability block-failure campaign ==="
     BABOL_AUDIT=1 "$ROOT/build/examples/ssd_fio" coro \
         --rain --scrub --blockfail-at 150 \
@@ -340,11 +361,13 @@ stage_guard() {
     # Power determinism smoke: per-rail energy is integer femtojoules
     # (order-independent sums), so the power summary must be
     # byte-identical no matter how many worker threads ran the device.
+    # The queued front end runs on the sharded engine, so --threads
+    # really changes how the device is executed.
     echo "=== tier-1: power determinism smoke (--threads 1/4) ==="
-    "$ROOT/build/examples/ssd_fio" coro --power-out "$ROOT/build/power_t1.json" \
-        --threads 1 >/dev/null
-    "$ROOT/build/examples/ssd_fio" coro --power-out "$ROOT/build/power_t4.json" \
-        --threads 4 >/dev/null
+    "$ROOT/build/examples/ssd_fio" coro --qpairs 2 \
+        --power-out "$ROOT/build/power_t1.json" --threads 1 >/dev/null
+    "$ROOT/build/examples/ssd_fio" coro --qpairs 2 \
+        --power-out "$ROOT/build/power_t4.json" --threads 4 >/dev/null
     cmp "$ROOT/build/power_t1.json" "$ROOT/build/power_t4.json" || {
         echo "FAIL: power summary differs between 1 and 4 threads"
         exit 1

@@ -171,7 +171,7 @@ loadPlanFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        panic("cannot open fault plan '%s'", path.c_str());
+        fatal("cannot open fault plan '%s'", path.c_str());
     std::ostringstream buf;
     buf << in.rdbuf();
     return parsePlan(buf.str());

@@ -104,7 +104,8 @@ struct FaultPlan
  *  (plans are trusted configuration, not user input). */
 FaultPlan parsePlan(const std::string &text);
 
-/** Load and parse a plan file; panics when unreadable. */
+/** Load and parse a plan file; a missing or unreadable file is a
+ *  fatal() user error. */
 FaultPlan loadPlanFile(const std::string &path);
 
 } // namespace babol::fault

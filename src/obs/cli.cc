@@ -5,8 +5,6 @@
 #include <fstream>
 #include <iostream>
 
-#include <cstdlib>
-
 #include "audit/auditor.hh"
 #include "hub.hh"
 #include "perfetto.hh"
@@ -20,6 +18,36 @@ Options::usage()
 {
     return "[--trace-out FILE] [--metrics-out FILE] [--audit[=FILE]] "
            "[--power-out FILE] [--power-cap MW]";
+}
+
+std::optional<std::uint64_t>
+parseCount(const std::string &text, std::uint64_t max)
+{
+    if (text.empty())
+        return std::nullopt;
+    std::uint64_t n = 0;
+    for (char c : text) {
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (c < '0' || c > '9' ||
+            n > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+            return std::nullopt;
+        n = n * 10 + digit;
+    }
+    if (n == 0 || n > max)
+        return std::nullopt;
+    return n;
+}
+
+int
+guardedMain(const std::function<int()> &body)
+{
+    try {
+        return body();
+    } catch (const SimFatal &) {
+        return kExitUsage;
+    } catch (const SimPanic &) {
+        return kExitPanic;
+    }
 }
 
 bool
@@ -48,9 +76,10 @@ Options::parse(int argc, char **argv, int &i)
         return true;
     }
     if (!std::strcmp(arg, "--power-cap") && i + 1 < argc) {
-        powerCapMw = std::strtoull(argv[++i], nullptr, 10);
+        const char *cap = argv[++i];
+        powerCapMw = parseCount(cap).value_or(0);
         if (powerCapMw == 0)
-            fatal("--power-cap needs a positive cap in mW");
+            fatal("--power-cap needs a positive cap in mW, got '%s'", cap);
         return true;
     }
     return false;

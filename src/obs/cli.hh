@@ -34,6 +34,9 @@
 #ifndef BABOL_OBS_CLI_HH
 #define BABOL_OBS_CLI_HH
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -44,6 +47,26 @@ class EventQueue;
 }
 
 namespace babol::obs::cli {
+
+/** Exit statuses of a harness whose run could not start or finish. */
+constexpr int kExitUsage = 2; //!< bad command line or configuration
+constexpr int kExitPanic = 3; //!< a simulator invariant fired
+
+/**
+ * Parse a positive whole number: digits only, no sign, suffix or
+ * overflow, at least 1 and at most @p max. nullopt otherwise, so a
+ * typo never reads as 0 or as a truncated prefix.
+ */
+std::optional<std::uint64_t>
+parseCount(const std::string &text,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * Run a harness's main body so that no simulator exception escapes
+ * main: SimFatal (the user's error) exits kExitUsage and SimPanic
+ * exits kExitPanic, each after fatal()/panic() printed why.
+ */
+int guardedMain(const std::function<int()> &body);
 
 struct Options
 {

@@ -1,8 +1,6 @@
 #include "sharded_ssd.hh"
 
-#include "core/coro/coro_controller.hh"
-#include "core/hw/hw_controller.hh"
-#include "core/rtos_env/rtos_controller.hh"
+#include "core/controller_factory.hh"
 #include "ssd/lookahead.hh"
 
 namespace babol::ssd {
@@ -17,6 +15,7 @@ ShardedSsd::ShardedSsd(const std::string &name, SsdConfig cfg)
 {
     babol_assert(cfg_.channels >= 1 && cfg_.channels <= 16,
                  "SSD supports 1..16 channels, got %u", cfg_.channels);
+    const core::Flavor flavor = core::flavorOrFatal(cfg_.flavor);
 
     dram_ = std::make_unique<dram::DramBuffer>(
         hostQueue(), name + ".dram", cfg_.dramBytes, 1600.0,
@@ -36,25 +35,8 @@ ShardedSsd::ShardedSsd(const std::string &name, SsdConfig cfg)
         core::SoftControllerConfig soft;
         soft.cpuMhz = cfg_.cpuMhz;
         soft.maxReadRetries = cfg_.maxReadRetries;
-        if (cfg_.flavor == "coro") {
-            controllers_.push_back(std::make_unique<core::CoroController>(
-                ceq, cname, sys, soft));
-        } else if (cfg_.flavor == "rtos") {
-            controllers_.push_back(std::make_unique<core::RtosController>(
-                ceq, cname, sys, soft));
-        } else if (cfg_.flavor == "hw-sync") {
-            auto hw = std::make_unique<core::HwController>(ceq, cname, sys,
-                                                           true);
-            hw->setMaxReadRetries(cfg_.maxReadRetries);
-            controllers_.push_back(std::move(hw));
-        } else if (cfg_.flavor == "hw-async" || cfg_.flavor == "hw") {
-            auto hw = std::make_unique<core::HwController>(ceq, cname, sys,
-                                                           false);
-            hw->setMaxReadRetries(cfg_.maxReadRetries);
-            controllers_.push_back(std::move(hw));
-        } else {
-            fatal("unknown controller flavor '%s'", cfg_.flavor.c_str());
-        }
+        controllers_.push_back(
+            core::makeController(flavor, ceq, cname, sys, soft));
     }
 
     // One ExecContext per shard, all recording against the process

@@ -1,8 +1,6 @@
 #include "ssd.hh"
 
-#include "core/coro/coro_controller.hh"
-#include "core/hw/hw_controller.hh"
-#include "core/rtos_env/rtos_controller.hh"
+#include "core/controller_factory.hh"
 #include "ssd/lookahead.hh"
 
 namespace babol::ssd {
@@ -12,6 +10,7 @@ Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
 {
     babol_assert(cfg_.channels >= 1 && cfg_.channels <= 16,
                  "SSD supports 1..16 channels, got %u", cfg_.channels);
+    const core::Flavor flavor = core::flavorOrFatal(cfg_.flavor);
 
     if (!cfg_.channel.package.faults) {
         faultsOwned_ = std::make_unique<fault::FaultEngine>();
@@ -35,25 +34,8 @@ Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
         core::SoftControllerConfig soft;
         soft.cpuMhz = cfg_.cpuMhz;
         soft.maxReadRetries = cfg_.maxReadRetries;
-        if (cfg_.flavor == "coro") {
-            controllers_.push_back(std::make_unique<core::CoroController>(
-                eq, cname, sys, soft));
-        } else if (cfg_.flavor == "rtos") {
-            controllers_.push_back(std::make_unique<core::RtosController>(
-                eq, cname, sys, soft));
-        } else if (cfg_.flavor == "hw-sync") {
-            auto hw = std::make_unique<core::HwController>(eq, cname, sys,
-                                                           true);
-            hw->setMaxReadRetries(cfg_.maxReadRetries);
-            controllers_.push_back(std::move(hw));
-        } else if (cfg_.flavor == "hw-async" || cfg_.flavor == "hw") {
-            auto hw = std::make_unique<core::HwController>(eq, cname, sys,
-                                                           false);
-            hw->setMaxReadRetries(cfg_.maxReadRetries);
-            controllers_.push_back(std::move(hw));
-        } else {
-            fatal("unknown controller flavor '%s'", cfg_.flavor.c_str());
-        }
+        controllers_.push_back(
+            core::makeController(flavor, eq, cname, sys, soft));
     }
 }
 

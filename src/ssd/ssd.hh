@@ -25,7 +25,7 @@ struct SsdConfig
     /** Per-channel configuration (chips here = ways per channel). */
     core::ChannelConfig channel;
 
-    /** Controller flavour: "coro", "rtos", "hw-sync", or "hw-async". */
+    /** Controller flavour, as core::parseFlavor() spells it. */
     std::string flavor = "coro";
 
     /** Embedded CPU frequency for the software flavours. */

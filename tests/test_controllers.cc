@@ -7,22 +7,18 @@
 
 #include <gtest/gtest.h>
 
-#include "core/coro/coro_controller.hh"
-#include "core/hw/hw_controller.hh"
-#include "core/rtos_env/rtos_controller.hh"
+#include "core/controller_factory.hh"
 
 using namespace babol;
 using namespace babol::core;
 
 namespace {
 
-enum class Flavor { Coroutine, Rtos, HwSync, HwAsync };
-
 const char *
 flavorLabel(const testing::TestParamInfo<Flavor> &info)
 {
     switch (info.param) {
-      case Flavor::Coroutine:
+      case Flavor::Coro:
         return "coroutine";
       case Flavor::Rtos:
         return "rtos";
@@ -32,23 +28,6 @@ flavorLabel(const testing::TestParamInfo<Flavor> &info)
         return "hwasync";
     }
     return "?";
-}
-
-std::unique_ptr<ChannelController>
-makeController(Flavor flavor, EventQueue &eq, ChannelSystem &sys,
-               SoftControllerConfig soft = {})
-{
-    switch (flavor) {
-      case Flavor::Coroutine:
-        return std::make_unique<CoroController>(eq, "ctrl", sys, soft);
-      case Flavor::Rtos:
-        return std::make_unique<RtosController>(eq, "ctrl", sys, soft);
-      case Flavor::HwSync:
-        return std::make_unique<HwController>(eq, "ctrl", sys, true);
-      case Flavor::HwAsync:
-        return std::make_unique<HwController>(eq, "ctrl", sys, false);
-    }
-    return nullptr;
 }
 
 class ControllerTest : public testing::TestWithParam<Flavor>
@@ -61,7 +40,7 @@ class ControllerTest : public testing::TestWithParam<Flavor>
         cfg.package = nand::hynixPackage();
         cfg.chips = 4;
         sys_ = std::make_unique<ChannelSystem>(eq_, "ssd", cfg);
-        ctrl_ = makeController(GetParam(), eq_, *sys_);
+        ctrl_ = makeController(GetParam(), eq_, "ctrl", *sys_);
     }
 
     bool
@@ -189,9 +168,30 @@ TEST_P(ControllerTest, ProgramWithoutEraseReportsFlashFail)
 }
 
 INSTANTIATE_TEST_SUITE_P(Flavors, ControllerTest,
-                         testing::Values(Flavor::Coroutine, Flavor::Rtos,
+                         testing::Values(Flavor::Coro, Flavor::Rtos,
                                          Flavor::HwSync, Flavor::HwAsync),
                          flavorLabel);
+
+TEST(ControllerFactory, EverySpellingBuildsItsFlavour)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"coro", "coroutine"}, {"rtos", "rtos"}, {"hw", "hw-async"},
+        {"hw-async", "hw-async"}, {"hw-sync", "hw-sync"}};
+    for (const auto &[spelling, built] : cases) {
+        EventQueue eq;
+        ChannelConfig cfg;
+        cfg.package = nand::hynixPackage();
+        cfg.chips = 1;
+        ChannelSystem sys(eq, "ssd", cfg);
+        const Flavor f = flavorOrFatal(spelling);
+        EXPECT_EQ(parseFlavor(flavorName(f)), f) << spelling;
+        auto ctrl = makeController(f, eq, "ctrl", sys);
+        EXPECT_STREQ(ctrl->flavorName(), built) << spelling;
+    }
+    EXPECT_FALSE(parseFlavor("fpga"));
+    EXPECT_FALSE(parseFlavor(""));
+    EXPECT_THROW(flavorOrFatal("HW"), SimFatal);
+}
 
 TEST(FlavorContrast, HardwareReadBeatsSoftwareOnLatency)
 {
@@ -201,7 +201,7 @@ TEST(FlavorContrast, HardwareReadBeatsSoftwareOnLatency)
         cfg.package = nand::hynixPackage();
         cfg.chips = 1;
         ChannelSystem sys(eq, "ssd", cfg);
-        auto ctrl = makeController(flavor, eq, sys);
+        auto ctrl = makeController(flavor, eq, "ctrl", sys);
 
         auto run_one = [&](FlashRequest req) {
             OpResult out;
@@ -231,7 +231,7 @@ TEST(FlavorContrast, HardwareReadBeatsSoftwareOnLatency)
 
     double hw = read_latency_us(Flavor::HwAsync);
     double rtos = read_latency_us(Flavor::Rtos);
-    double coro = read_latency_us(Flavor::Coroutine);
+    double coro = read_latency_us(Flavor::Coro);
 
     // R/B#-pin hardware detection beats polling; tighter RTOS polling
     // beats coroutine polling (Fig. 11's ordering).
@@ -256,11 +256,7 @@ TEST(FlavorContrast, RtosPollsFasterThanCoroutine)
         ChannelSystem sys(eq, "ssd", cfg);
         sys.bus().trace().setEnabled(true);
 
-        std::unique_ptr<ChannelController> ctrl;
-        if (flavor == Flavor::Coroutine)
-            ctrl = std::make_unique<CoroController>(eq, "c", sys);
-        else
-            ctrl = std::make_unique<RtosController>(eq, "c", sys);
+        auto ctrl = makeController(flavor, eq, "c", sys);
 
         FlashRequest erase;
         erase.kind = FlashOpKind::Erase;
@@ -289,7 +285,7 @@ TEST(FlavorContrast, RtosPollsFasterThanCoroutine)
         return sum / periods.size();
     };
 
-    double coro = polling_period_us(Flavor::Coroutine);
+    double coro = polling_period_us(Flavor::Coro);
     double rtos = polling_period_us(Flavor::Rtos);
 
     // Calibration targets: ~30 us/cycle for coroutines at 1 GHz, and a

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/controller_factory.hh"
 #include "core/coro/coro_controller.hh"
 #include "core/hw/hw_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
@@ -84,13 +85,11 @@ TEST(FaultPlan, MalformedInputPanicsWithLineNumbers)
 // Every fault class, every controller flavour
 // ---------------------------------------------------------------------
 
-enum class Flavor { Coroutine, Rtos, HwSync, HwAsync };
-
 const char *
 flavorLabel(const testing::TestParamInfo<Flavor> &info)
 {
     switch (info.param) {
-      case Flavor::Coroutine:
+      case Flavor::Coro:
         return "coroutine";
       case Flavor::Rtos:
         return "rtos";
@@ -116,24 +115,7 @@ class FaultRecoveryTest : public testing::TestWithParam<Flavor>
 
         SoftControllerConfig soft;
         soft.maxReadRetries = 4;
-        switch (GetParam()) {
-          case Flavor::Coroutine:
-            ctrl_ = std::make_unique<CoroController>(eq_, "ctrl", *sys_,
-                                                     soft);
-            break;
-          case Flavor::Rtos:
-            ctrl_ = std::make_unique<RtosController>(eq_, "ctrl", *sys_,
-                                                     soft);
-            break;
-          case Flavor::HwSync:
-          case Flavor::HwAsync: {
-            auto hw = std::make_unique<HwController>(
-                eq_, "ctrl", *sys_, GetParam() == Flavor::HwSync);
-            hw->setMaxReadRetries(4);
-            ctrl_ = std::move(hw);
-            break;
-          }
-        }
+        ctrl_ = makeController(GetParam(), eq_, "ctrl", *sys_, soft);
     }
 
     void TearDown() override { fault::engine().disarm(); }
@@ -336,7 +318,7 @@ TEST_P(FaultRecoveryTest, StuckBusyBeyondBudgetTimesOutSoftFlavors)
 }
 
 INSTANTIATE_TEST_SUITE_P(Flavors, FaultRecoveryTest,
-                         testing::Values(Flavor::Coroutine, Flavor::Rtos,
+                         testing::Values(Flavor::Coro, Flavor::Rtos,
                                          Flavor::HwSync,
                                          Flavor::HwAsync),
                          flavorLabel);

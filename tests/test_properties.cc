@@ -15,6 +15,7 @@
 
 #include <map>
 
+#include "core/controller_factory.hh"
 #include "core/coro/coro_controller.hh"
 #include "core/coro/ops.hh"
 #include "core/hw/hw_controller.hh"
@@ -25,18 +26,6 @@ using namespace babol;
 using namespace babol::core;
 
 namespace {
-
-std::unique_ptr<ChannelController>
-makeFlavor(const std::string &flavor, EventQueue &eq, ChannelSystem &sys)
-{
-    if (flavor == "coro")
-        return std::make_unique<CoroController>(eq, "ctrl", sys);
-    if (flavor == "rtos")
-        return std::make_unique<RtosController>(eq, "ctrl", sys);
-    if (flavor == "hw-sync")
-        return std::make_unique<HwController>(eq, "ctrl", sys, true);
-    return std::make_unique<HwController>(eq, "ctrl", sys, false);
-}
 
 /**
  * Random mixed workload: erases, programs (in NAND page order), and
@@ -58,7 +47,7 @@ TEST_P(RandomMixSweep, IntegrityAndProtocolHold)
     cfg.chips = 3;
     cfg.seed = static_cast<std::uint64_t>(seed);
     ChannelSystem sys(eq, "ssd", cfg);
-    auto ctrl = makeFlavor(flavor, eq, sys);
+    auto ctrl = makeController(flavorOrFatal(flavor), eq, "ctrl", sys);
 
     Rng rng(static_cast<std::uint64_t>(seed) * 7919);
     const std::uint32_t blocks = cfg.package.geometry.blocksPerLun();
