@@ -10,7 +10,6 @@
 #ifndef BABOL_BENCH_BENCH_COMMON_HH
 #define BABOL_BENCH_BENCH_COMMON_HH
 
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -18,7 +17,6 @@
 #include "core/coro/coro_controller.hh"
 #include "core/hw/hw_controller.hh"
 #include "core/rtos_env/rtos_controller.hh"
-#include "obs/cli.hh"
 #include "sim/table.hh"
 
 namespace babol::bench {
@@ -40,18 +38,6 @@ makeController(const std::string &flavor, EventQueue &eq,
     soft.cpuMhz = cpu_mhz;
     return core::makeController(core::flavorOrFatal(flavor), eq, "ctrl", sys,
                                 soft);
-}
-
-/** The positive 32-bit count given for @p flag, or fatal(). */
-inline std::uint32_t
-countArg(const std::string &flag, const char *text)
-{
-    auto n = obs::cli::parseCount(text,
-                                  std::numeric_limits<std::uint32_t>::max());
-    if (!n)
-        fatal("%s needs a positive whole number, got '%s'", flag.c_str(),
-              text);
-    return static_cast<std::uint32_t>(*n);
 }
 
 /** Run one request to completion on the shared event queue. */

@@ -38,22 +38,20 @@ run(nand::Vendor vendor, std::uint32_t rate_mt, const std::string &flavor,
     return runChannelReadWorkload(eq, sys, *ctrl, luns, 30);
 }
 
+} // namespace
+
 int
-fig10Main(int argc, char **argv)
+main(int argc, char **argv)
 {
     bool quick = false, csv = false;
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
         if (obs_opts.parse(argc, argv, i))
             continue;
-        const std::string arg = argv[i];
-        if (arg == "--quick")
+        if (std::string(argv[i]) == "--quick")
             quick = true;
-        else if (arg == "--csv")
+        if (std::string(argv[i]) == "--csv")
             csv = true;
-        else
-            fatal("usage: fig10_sw_overhead [--quick] [--csv] %s",
-                  obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
 
@@ -114,12 +112,4 @@ fig10Main(int argc, char **argv)
                  "coroutines want a fast core; throughput\ngrows with "
                  "LUNs until the channel saturates.\n";
     return obs_opts.finalize();
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    return obs::cli::guardedMain([&] { return fig10Main(argc, argv); });
 }

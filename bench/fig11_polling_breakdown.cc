@@ -104,8 +104,10 @@ measure(const std::string &flavor)
     return report;
 }
 
+} // namespace
+
 int
-fig11Main(int argc, char **argv)
+main(int argc, char **argv)
 {
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
@@ -147,12 +149,4 @@ fig11Main(int argc, char **argv)
     std::cout << "\n--- Logic-analyzer view (Coroutine) ---\n"
               << coro.timeline;
     return obs_opts.finalize();
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    return obs::cli::guardedMain([&] { return fig11Main(argc, argv); });
 }

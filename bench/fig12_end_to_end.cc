@@ -10,6 +10,7 @@
  * ARM, as in the paper.
  */
 
+#include <cstdlib>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -222,8 +223,10 @@ runShardedSsd(const std::string &flavor, std::uint32_t channels,
     return {engine.bandwidthMBps(), njPerIoDelta(e0, e1, 300)};
 }
 
+} // namespace
+
 int
-fig12Main(int argc, char **argv)
+main(int argc, char **argv)
 {
     bool quick = false, csv = false;
     std::uint32_t threads = 0; // 0 = classic single-queue engine
@@ -232,19 +235,14 @@ fig12Main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (obs_opts.parse(argc, argv, i))
             continue;
-        const std::string arg = argv[i];
-        if (arg == "--quick")
+        if (std::string(argv[i]) == "--quick")
             quick = true;
-        else if (arg == "--csv")
+        if (std::string(argv[i]) == "--csv")
             csv = true;
-        else if (arg == "--threads" && i + 1 < argc)
-            threads = countArg(arg, argv[++i]);
-        else if (arg == "--qpairs" && i + 1 < argc)
-            qpairs = countArg(arg, argv[++i]);
-        else
-            fatal("usage: fig12_end_to_end [--quick] [--csv] [--threads T] "
-                  "[--qpairs N] %s",
-                  obs::cli::Options::usage());
+        if (std::string(argv[i]) == "--threads" && i + 1 < argc)
+            threads = std::strtoul(argv[++i], nullptr, 10);
+        if (std::string(argv[i]) == "--qpairs" && i + 1 < argc)
+            qpairs = std::strtoul(argv[++i], nullptr, 10);
     }
     obs_opts.applyStartup();
 
@@ -362,12 +360,4 @@ fig12Main(int argc, char **argv)
                  "(random) of the baseline;\ncoroutines within ~8% / "
                  "~9%.\n";
     return obs_opts.finalize();
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    return obs::cli::guardedMain([&] { return fig12Main(argc, argv); });
 }

@@ -23,7 +23,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "core/controller_factory.hh"
 #include "host/hic.hh"
 #include "obs/cli.hh"
 #include "obs/perfetto.hh"
@@ -32,10 +31,8 @@
 
 using namespace babol;
 
-namespace {
-
 int
-fullDeviceMain(int argc, char **argv)
+main(int argc, char **argv)
 {
     std::string flavor = "coro";
     obs::cli::Options obs_opts;
@@ -53,7 +50,7 @@ fullDeviceMain(int argc, char **argv)
     EventQueue eq;
     ssd::SsdConfig cfg;
     cfg.channels = 4;
-    cfg.flavor = core::flavorName(core::flavorOrFatal(flavor));
+    cfg.flavor = flavor;
     cfg.channel.package = nand::hynixPackage();
     cfg.channel.package.geometry.pagesPerBlock = 32;
     cfg.channel.chips = 4;
@@ -69,7 +66,7 @@ fullDeviceMain(int argc, char **argv)
     std::printf("SSD: %u channels x %u ways, %s controllers — %llu "
                 "sectors of %u B\n\n",
                 device.channelCount(), device.waysPerChannel(),
-                cfg.flavor.c_str(),
+                core::flavorName(cfg.flavor),
                 static_cast<unsigned long long>(hic.totalSectors()),
                 hic.sectorBytes());
 
@@ -176,12 +173,4 @@ fullDeviceMain(int argc, char **argv)
     if (verify_errors != 0 || failures != 0)
         return 1;
     return obs_status;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    return obs::cli::guardedMain([&] { return fullDeviceMain(argc, argv); });
 }

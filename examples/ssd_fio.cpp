@@ -21,26 +21,28 @@
 #include <cstdio>
 
 #include "scenario/run.hh"
+#include "sim/logging.hh"
 
 using namespace babol;
 
 int
 main(int argc, char **argv)
 {
-    return obs::cli::guardedMain([&] {
-        try {
-            scenario::Spec spec = scenario::parseArgs(
-                std::vector<std::string>(argv + 1, argv + argc));
-            if (spec.help) {
-                std::fputs(scenario::usage("ssd_fio").c_str(), stdout);
-                return 0;
-            }
-            return scenario::run(spec);
-        } catch (const scenario::UsageError &e) {
-            std::fprintf(stderr, "ssd_fio: %s\n(run 'ssd_fio --help' for "
-                                 "usage)\n",
-                         e.what());
-            return obs::cli::kExitUsage;
+    try {
+        scenario::Spec spec = scenario::parseArgs(
+            std::vector<std::string>(argv + 1, argv + argc));
+        if (spec.help) {
+            std::fputs(scenario::usage("ssd_fio").c_str(), stdout);
+            return 0;
         }
-    });
+        return scenario::run(spec);
+    } catch (const scenario::UsageError &e) {
+        std::fprintf(stderr, "ssd_fio: %s\n(run 'ssd_fio --help' for usage)\n",
+                     e.what());
+        return scenario::kExitUsage;
+    } catch (const SimFatal &) { // fatal() already said why
+        return scenario::kExitUsage;
+    } catch (const SimPanic &) {
+        return scenario::kExitPanic;
+    }
 }

@@ -43,6 +43,24 @@ Flavor flavorOrFatal(std::string_view name);
 const char *flavorName(Flavor f);
 
 /**
+ * A configuration field that holds a Flavor. It may also be set from a
+ * spelling, which is parsed right there, once (fatal() on an unknown
+ * name), so configs written by name keep working.
+ */
+class FlavorSetting
+{
+  public:
+    FlavorSetting(Flavor f = Flavor::Coro) : flavor_(f) {}
+    FlavorSetting(const char *name) : flavor_(flavorOrFatal(name)) {}
+    FlavorSetting(const std::string &name) : flavor_(flavorOrFatal(name)) {}
+
+    operator Flavor() const { return flavor_; }
+
+  private:
+    Flavor flavor_;
+};
+
+/**
  * Build one channel controller. @p soft configures the software
  * flavours' runtime; its read-retry budget also arms the hardware READ
  * FSM (the RTL respin HwController::setMaxReadRetries models).

@@ -38,18 +38,6 @@ parseCount(const std::string &text, std::uint64_t max)
     return n;
 }
 
-int
-guardedMain(const std::function<int()> &body)
-{
-    try {
-        return body();
-    } catch (const SimFatal &) {
-        return kExitUsage;
-    } catch (const SimPanic &) {
-        return kExitPanic;
-    }
-}
-
 bool
 Options::parse(int argc, char **argv, int &i)
 {
@@ -66,7 +54,7 @@ Options::parse(int argc, char **argv, int &i)
         audit = true;
         return true;
     }
-    if (!std::strncmp(arg, "--audit=", 8)) {
+    if (!std::strncmp(arg, "--audit=", 8) && arg[8]) {
         audit = true;
         auditOut = arg + 8;
         return true;

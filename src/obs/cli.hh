@@ -9,7 +9,8 @@
  *                       the trace ring at exit
  *   --metrics-out FILE  dump the central metrics registry as JSON
  *   --audit[=FILE]      arm the conformance auditor in collector mode;
- *                       the report goes to stdout (or FILE) at exit and
+ *                       the report goes to stdout (or FILE, which must
+ *                       not be empty) at exit and
  *                       the process exits non-zero when any diagnostic
  *                       was recorded
  *   --power-out FILE    enable the power model and dump the per-rail
@@ -35,7 +36,6 @@
 #define BABOL_OBS_CLI_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -48,10 +48,6 @@ class EventQueue;
 
 namespace babol::obs::cli {
 
-/** Exit statuses of a harness whose run could not start or finish. */
-constexpr int kExitUsage = 2; //!< bad command line or configuration
-constexpr int kExitPanic = 3; //!< a simulator invariant fired
-
 /**
  * Parse a positive whole number: digits only, no sign, suffix or
  * overflow, at least 1 and at most @p max. nullopt otherwise, so a
@@ -60,13 +56,6 @@ constexpr int kExitPanic = 3; //!< a simulator invariant fired
 std::optional<std::uint64_t>
 parseCount(const std::string &text,
            std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
-
-/**
- * Run a harness's main body so that no simulator exception escapes
- * main: SimFatal (the user's error) exits kExitUsage and SimPanic
- * exits kExitPanic, each after fatal()/panic() printed why.
- */
-int guardedMain(const std::function<int()> &body);
 
 struct Options
 {
@@ -83,7 +72,9 @@ struct Options
     /**
      * Try to consume argv[i] (and a possible value argument). Returns
      * true — with @p i advanced past any value — when the flag was one
-     * of ours; false to let the harness handle it.
+     * of ours; false to let the harness handle it, which includes one
+     * of ours that is missing its value. A --power-cap that is not a
+     * positive count is fatal().
      */
     bool parse(int argc, char **argv, int &i);
 

@@ -12,8 +12,6 @@
 #include <fstream>
 
 #include "fault/fault_engine.hh"
-#include "obs/hub.hh"
-#include "obs/power/power.hh"
 #include "scenario/oracle.hh"
 #include "scenario/runners.hh"
 
@@ -80,7 +78,6 @@ runCrash(Spec &spec)
             fatal("cannot write %s", spec.crashOut.c_str());
     }
 
-    auto &pm = obs::power::PowerModel::instance();
     std::uint64_t violations = 0;
 
     // crash_at == 0 is the clean-shutdown cycle.
@@ -108,10 +105,6 @@ runCrash(Spec &spec)
                       static_cast<unsigned long long>(led.acked));
             cut_at = wa->eq.now();
             fault::engine().notePowerCut("ssd", cut_at);
-            for (std::uint32_t c = 0; c < wa->ctrl->backendChipCount();
-                 ++c) {
-                wa->sys.lun(c).powerCut();
-            }
         } else {
             // Clean shutdown: drain the write buffer first.
             bool flushed = false;
@@ -125,38 +118,16 @@ runCrash(Spec &spec)
         // The cells survive the cut; everything else is rebuilt fresh.
         auto wb = std::make_unique<MiniSsd>(spec.flavor, crashChannel(),
                                             crashFtl(), 4);
+        LunPairs luns;
         for (std::uint32_t c = 0; c < wa->ctrl->backendChipCount(); ++c)
-            wb->sys.lun(c).array().copyStateFrom(wa->sys.lun(c).array());
-        wa.reset();
-        // Drop the old world's records: its torn spans would otherwise
-        // trip the auditor's conservation pass, and a power cut tearing
-        // them open is exactly the expected outcome here.
-        if (obs::trace().enabled())
-            obs::trace().clear();
-
-        const std::uint64_t e0 =
-            pm.enabled() ? pm.grandTotalFjAt(wb->eq.now()) : 0;
-        bool mounted = false;
-        wb->ftl.mount([&](bool ok) { mounted = ok; });
-        wb->eq.run();
-        if (!mounted)
-            fatal("remount failed");
-        const Tick mount_ticks = wb->eq.now();
-        const std::uint64_t mount_fj =
-            pm.enabled() ? pm.grandTotalFjAt(wb->eq.now()) - e0 : 0;
-
-        const RecoveryReport rep = verifyRecovery(
-            wb->ftl, led, crash_at == 0, [&] { wb->eq.run(); });
-        violations += rep.violations();
-
-        std::string line =
-            recoveryLine(crash_at, led, cut_at, wb->ftl, mount_ticks, rep);
-        if (pm.enabled())
-            line += strfmt(" | mount %.2f uJ",
-                           static_cast<double>(mount_fj) / 1e9);
-        std::printf("%s\n", line.c_str());
+            luns.emplace_back(&wa->sys.lun(c), &wb->sys.lun(c));
+        const Remount r = cutAndRemount(
+            luns, crash_at, cut_at, [&] { wa.reset(); }, wb->ftl, led,
+            [&] { wb->eq.run(); });
+        violations += r.report.violations();
+        std::printf("%s\n", r.line.c_str());
         if (out)
-            out << line << "\n";
+            out << r.line << "\n";
         spec.obs.captureMetrics(wb->eq);
     };
 
@@ -169,14 +140,13 @@ runCrash(Spec &spec)
         std::printf("\n%s\n", fault::engine().summary().c_str());
 
     int status = spec.obs.finalize();
-    if (violations) {
+    if (violations)
         std::printf("crash campaign: %llu recovery violation(s)\n",
                     static_cast<unsigned long long>(violations));
-        return 1;
-    }
-    std::printf("crash campaign: clean — every acknowledged write "
-                "survived, nothing stale resurrected\n");
-    return status;
+    else
+        std::printf("crash campaign: clean — every acknowledged write "
+                    "survived, nothing stale resurrected\n");
+    return campaignStatus(violations, false, status);
 }
 
 /**
@@ -253,7 +223,7 @@ runLifetime(Spec &spec)
                 "failed), %llu erases, max PE %u, wear spread %u "
                 "(threshold %u), %llu WL run(s) moving %llu page(s), "
                 "%llu block(s) retired\n",
-                spec.flavorArg.c_str(),
+                core::flavorName(spec.flavor),
                 static_cast<unsigned long long>(issued),
                 static_cast<unsigned long long>(acked),
                 static_cast<unsigned long long>(failed),

@@ -188,7 +188,8 @@ runFleet(Spec &spec)
     const std::size_t fleet = spec.fleet;
     std::printf("fleet: %zu mini-SSDs x %u stream(s) on %u thread(s), "
                 "%s controller\n",
-                fleet, spec.streams, spec.threads, spec.flavorArg.c_str());
+                fleet, spec.streams, spec.threads,
+                core::flavorName(spec.flavor));
 
     std::vector<MemberResult> results(fleet);
     std::vector<std::unique_ptr<obs::ExecContext>> ctxs(fleet);

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "nand/lun.hh"
 #include "obs/audit/auditor.hh"
+#include "obs/hub.hh"
+#include "obs/power/power.hh"
+#include "scenario/run.hh"
 
 namespace babol::scenario {
 
@@ -20,72 +24,8 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-} // namespace
-
-void
-stampPage(std::vector<std::uint8_t> &page, std::uint64_t lpn,
-          std::uint64_t gen)
-{
-    page[0] = 0xB0;
-    page[1] = 0xB0;
-    page[2] = 0x7E;
-    page[3] = 0x57;
-    for (int i = 0; i < 4; ++i)
-        page[4 + i] = static_cast<std::uint8_t>(lpn >> (8 * i));
-    for (int i = 0; i < 8; ++i)
-        page[8 + i] = static_cast<std::uint8_t>(gen >> (8 * i));
-    std::uint64_t s = mix64(lpn * 0x10001u + gen);
-    for (std::size_t off = 16; off < page.size(); off += 8) {
-        s = mix64(s);
-        for (std::size_t i = 0; i < 8 && off + i < page.size(); ++i)
-            page[off + i] = static_cast<std::uint8_t>(s >> (8 * i));
-    }
-}
-
-bool
-readStamp(const std::vector<std::uint8_t> &page, std::uint64_t lpn,
-          std::uint64_t *gen)
-{
-    if (page[0] != 0xB0 || page[1] != 0xB0 || page[2] != 0x7E ||
-        page[3] != 0x57) {
-        return false;
-    }
-    std::uint64_t got_lpn = 0;
-    for (int i = 0; i < 4; ++i)
-        got_lpn |= static_cast<std::uint64_t>(page[4 + i]) << (8 * i);
-    if (got_lpn != lpn)
-        return false;
-    *gen = 0;
-    for (int i = 0; i < 8; ++i)
-        *gen |= static_cast<std::uint64_t>(page[8 + i]) << (8 * i);
-    return true;
-}
-
-Verdict
-Ledger::check(const std::vector<std::uint8_t> &got, std::uint64_t lpn,
-              std::uint64_t floor, std::uint64_t *gen) const
-{
-    *gen = 0;
-    if (!readStamp(got, lpn, gen))
-        return Verdict::Unstamped;
-    if (*gen < floor)
-        return Verdict::Stale;
-    if (*gen > issuedGen[lpn])
-        return Verdict::Unissued;
-    std::vector<std::uint8_t> want(got.size());
-    stampPage(want, lpn, *gen);
-    return got == want ? Verdict::Intact : Verdict::Corrupt;
-}
-
-void
-Digest::fold(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        value ^= (v >> (8 * i)) & 0xFF;
-        value *= 1099511628211ull;
-    }
-}
-
+/** cutAndRemount()'s read-back walk; @p expect_exact after a clean
+ *  shutdown. */
 RecoveryReport
 verifyRecovery(ftl::PageFtl &ftl, const Ledger &led, bool expect_exact,
                const std::function<void()> &run)
@@ -172,6 +112,8 @@ verifyRecovery(ftl::PageFtl &ftl, const Ledger &led, bool expect_exact,
     return rep;
 }
 
+/** The one-line account of a cut (@p crash_at > 0) or clean (0)
+ *  remount. */
 std::string
 recoveryLine(std::uint64_t crash_at, const Ledger &led, Tick cut_at,
              ftl::PageFtl &ftl, Tick mount_ticks, const RecoveryReport &rep)
@@ -192,6 +134,119 @@ recoveryLine(std::uint64_t crash_at, const Ledger &led, Tick cut_at,
         static_cast<unsigned long long>(rep.lost),
         static_cast<unsigned long long>(rep.stale),
         static_cast<unsigned long long>(rep.corrupt));
+}
+
+} // namespace
+
+void
+stampPage(std::vector<std::uint8_t> &page, std::uint64_t lpn,
+          std::uint64_t gen)
+{
+    page[0] = 0xB0;
+    page[1] = 0xB0;
+    page[2] = 0x7E;
+    page[3] = 0x57;
+    for (int i = 0; i < 4; ++i)
+        page[4 + i] = static_cast<std::uint8_t>(lpn >> (8 * i));
+    for (int i = 0; i < 8; ++i)
+        page[8 + i] = static_cast<std::uint8_t>(gen >> (8 * i));
+    std::uint64_t s = mix64(lpn * 0x10001u + gen);
+    for (std::size_t off = 16; off < page.size(); off += 8) {
+        s = mix64(s);
+        for (std::size_t i = 0; i < 8 && off + i < page.size(); ++i)
+            page[off + i] = static_cast<std::uint8_t>(s >> (8 * i));
+    }
+}
+
+bool
+readStamp(const std::vector<std::uint8_t> &page, std::uint64_t lpn,
+          std::uint64_t *gen)
+{
+    if (page[0] != 0xB0 || page[1] != 0xB0 || page[2] != 0x7E ||
+        page[3] != 0x57) {
+        return false;
+    }
+    std::uint64_t got_lpn = 0;
+    for (int i = 0; i < 4; ++i)
+        got_lpn |= static_cast<std::uint64_t>(page[4 + i]) << (8 * i);
+    if (got_lpn != lpn)
+        return false;
+    *gen = 0;
+    for (int i = 0; i < 8; ++i)
+        *gen |= static_cast<std::uint64_t>(page[8 + i]) << (8 * i);
+    return true;
+}
+
+Verdict
+Ledger::check(const std::vector<std::uint8_t> &got, std::uint64_t lpn,
+              std::uint64_t floor, std::uint64_t *gen) const
+{
+    *gen = 0;
+    if (!readStamp(got, lpn, gen))
+        return Verdict::Unstamped;
+    if (*gen < floor)
+        return Verdict::Stale;
+    if (*gen > issuedGen[lpn])
+        return Verdict::Unissued;
+    std::vector<std::uint8_t> want(got.size());
+    stampPage(want, lpn, *gen);
+    return got == want ? Verdict::Intact : Verdict::Corrupt;
+}
+
+void
+Digest::fold(std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        value ^= (v >> (8 * i)) & 0xFF;
+        value *= 1099511628211ull;
+    }
+}
+
+Remount
+cutAndRemount(const LunPairs &luns, std::uint64_t crash_at, Tick cut_at,
+              const std::function<void()> &drop_old, ftl::PageFtl &ftl,
+              const Ledger &led, const std::function<void()> &run)
+{
+    for (const auto &[old_lun, new_lun] : luns) {
+        if (crash_at != 0)
+            old_lun->powerCut();
+        new_lun->array().copyStateFrom(old_lun->array());
+    }
+    drop_old();
+    // The old world's torn spans would otherwise trip the auditor's
+    // conservation pass, and a power cut tearing them open is exactly
+    // the expected outcome here.
+    if (obs::trace().enabled())
+        obs::trace().clear();
+
+    auto &pm = obs::power::PowerModel::instance();
+    const std::uint64_t e0 =
+        pm.enabled() ? pm.grandTotalFjAt(ftl.curTick()) : 0;
+    bool mounted = false;
+    ftl.mount([&](bool ok) { mounted = ok; });
+    run();
+    if (!mounted)
+        fatal("remount failed");
+    const Tick mount_ticks = ftl.curTick();
+    const std::uint64_t mount_fj =
+        pm.enabled() ? pm.grandTotalFjAt(mount_ticks) - e0 : 0;
+
+    Remount r;
+    r.report = verifyRecovery(ftl, led, crash_at == 0, run);
+    r.line = recoveryLine(crash_at, led, cut_at, ftl, mount_ticks, r.report);
+    if (pm.enabled())
+        r.line += strfmt(" | mount %.2f uJ",
+                         static_cast<double>(mount_fj) / 1e9);
+    return r;
+}
+
+int
+campaignStatus(std::uint64_t recovery_violations, bool data_lost,
+               int status)
+{
+    if (recovery_violations)
+        return 1;
+    return data_lost ? kExitDataLoss : status;
 }
 
 StampedWorkload::StampedWorkload(ftl::PageFtl &ftl, Ledger &led,

@@ -14,10 +14,15 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftl/ftl.hh"
 #include "sim/random.hh"
+
+namespace babol::nand {
+class Lun;
+}
 
 namespace babol::scenario {
 
@@ -95,25 +100,44 @@ struct RecoveryReport
     std::uint64_t violations() const { return lost + stale + corrupt; }
 };
 
-/**
- * Walk every LPN of the ledger on a remounted @p ftl, one read at a
- * time (@p run drives the device until idle), and hold it against the
- * ledger: acked generations must read back intact, nothing older than
- * an acked generation may reappear, and with @p expect_exact (clean
- * shutdown) the map must equal the last issued generation. Violations
- * are printed and land in the conformance auditor under
- * Check::Recovery.
- */
-RecoveryReport verifyRecovery(ftl::PageFtl &ftl, const Ledger &led,
-                              bool expect_exact,
-                              const std::function<void()> &run);
+/** A remount, verified: the report and the campaign's one-line account
+ *  of it (what was acked and issued, the mount scan, the verdict, and
+ *  the mount energy when the power model is on). */
+struct Remount
+{
+    RecoveryReport report;
+    std::string line;
+};
 
-/** The campaign's one-line account of a cut (@p crash_at > 0) or clean
- *  (0) remount: what was acked and issued, the mount scan, and the
- *  verdict. */
-std::string recoveryLine(std::uint64_t crash_at, const Ledger &led,
-                         Tick cut_at, ftl::PageFtl &ftl, Tick mount_ticks,
-                         const RecoveryReport &rep);
+/** Each LUN of the device that loses power, with the LUN of the fresh
+ *  device that inherits its cells. */
+using LunPairs = std::vector<std::pair<nand::Lun *, nand::Lun *>>;
+
+/**
+ * The crash -> remount step of every stamped campaign. A cut
+ * (@p crash_at > 0, at tick @p cut_at) tears each old LUN's in-flight
+ * programs; with @p crash_at == 0 the caller has shut down cleanly
+ * (flushed). The cells move to the fresh LUNs, @p drop_old destroys the
+ * old device, and @p ftl, the fresh device's, mounts from OOB. Then
+ * every LPN of @p led is read back, one read at a time (@p run drives
+ * the fresh device until idle): acked generations must read back
+ * intact, nothing older than an acked generation may reappear, and
+ * after a clean shutdown the map must equal the last issued
+ * generation. Violations are printed and land in the conformance
+ * auditor under Check::Recovery.
+ */
+Remount cutAndRemount(const LunPairs &luns, std::uint64_t crash_at,
+                      Tick cut_at, const std::function<void()> &drop_old,
+                      ftl::PageFtl &ftl, const Ledger &led,
+                      const std::function<void()> &run);
+
+/**
+ * A stamped campaign's exit status, the same in every scenario: 1 when
+ * a remount verification found violations, else kExitDataLoss when
+ * acknowledged data was lost after it, else @p status.
+ */
+int campaignStatus(std::uint64_t recovery_violations, bool data_lost,
+                   int status);
 
 /**
  * Closed-loop stamped workload over one FTL: kStampedQd slots, each

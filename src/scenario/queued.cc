@@ -26,7 +26,7 @@ runQueued(Spec &spec)
 
     ssd::SsdConfig cfg;
     cfg.channels = 2;
-    cfg.flavor = core::flavorName(spec.flavor);
+    cfg.flavor = spec.flavor;
     cfg.channel.package = nand::hynixPackage();
     cfg.channel.chips = 4;
     cfg.channel.rateMT = 200;
@@ -51,7 +51,7 @@ runQueued(Spec &spec)
 
     std::printf("NVMe front end: %u queue pair(s) over a 2-channel x "
                 "4-way %s device, %u thread(s)\n",
-                spec.qpairs, cfg.flavor.c_str(), threads);
+                spec.qpairs, core::flavorName(spec.flavor), threads);
 
     // Precondition: fill half the logical space (direct FTL path; the
     // queued front end is for the measured phases).

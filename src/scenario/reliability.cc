@@ -115,7 +115,7 @@ runReliability(Spec &spec)
 
     ssd::SsdConfig cfg;
     cfg.channels = 2;
-    cfg.flavor = core::flavorName(spec.flavor);
+    cfg.flavor = spec.flavor;
     cfg.channel.package = nand::hynixPackage();
     cfg.channel.package.geometry.pagesPerBlock = 8;
     cfg.channel.package.geometry.blocksPerPlane = 32;
@@ -131,7 +131,8 @@ runReliability(Spec &spec)
 
     const std::uint32_t nchips = w->dev.backendChipCount();
     std::printf("reliability campaign (%s): %u chips, rain=%s scrub=%s",
-                cfg.flavor.c_str(), nchips, spec.rain ? "on" : "off",
+                core::flavorName(spec.flavor), nchips,
+                spec.rain ? "on" : "off",
                 spec.scrub ? "on" : "off");
     if (cut)
         std::printf(" crash@%llu", static_cast<unsigned long long>(cut));
@@ -173,35 +174,20 @@ runReliability(Spec &spec)
         tally(pre);
         wcfg.totalOps -= pre.issued();
 
-        auto fresh = std::make_unique<World>(spec, cfg, plan);
-        for (std::uint32_t ch = 0; ch < cfg.channels; ++ch) {
-            for (std::uint32_t c = 0; c < cfg.channel.chips; ++c) {
-                nand::Lun &lun = w->dev.channelSystem(ch).lun(c);
-                lun.powerCut();
-                fresh->dev.channelSystem(ch).lun(c).array().copyStateFrom(
-                    lun.array());
-            }
-        }
-        w = std::move(fresh);
-        // The old world's torn spans would trip the auditor's
-        // conservation pass; a power cut tearing them is expected.
-        if (obs::trace().enabled())
-            obs::trace().clear();
         // The cells and this ledger are all that outlive the cut.
-        w->dev.faults().notePowerCut("ssd", cut_at);
-
-        bool mounted = false;
-        w->ftl.mount([&](bool ok) { mounted = ok; });
-        w->dev.run(threads);
-        if (!mounted)
-            fatal("remount failed");
-        const Tick mount_ticks = w->dev.hostQueue().now();
-        const RecoveryReport rep = verifyRecovery(
-            w->ftl, led, false, [&] { w->dev.run(threads); });
-        recovery_violations = rep.violations();
-        std::printf("%s\n", recoveryLine(cut, led, cut_at, w->ftl,
-                                         mount_ticks, rep)
-                                .c_str());
+        auto fresh = std::make_unique<World>(spec, cfg, plan);
+        fresh->dev.faults().notePowerCut("ssd", cut_at);
+        LunPairs luns;
+        for (std::uint32_t ch = 0; ch < cfg.channels; ++ch)
+            for (std::uint32_t c = 0; c < cfg.channel.chips; ++c)
+                luns.emplace_back(&w->dev.channelSystem(ch).lun(c),
+                                  &fresh->dev.channelSystem(ch).lun(c));
+        ftl::PageFtl &new_ftl = fresh->ftl; // outlives the move into w
+        const Remount r = cutAndRemount(
+            luns, cut, cut_at, [&] { w = std::move(fresh); }, new_ftl, led,
+            [&] { w->dev.run(threads); });
+        recovery_violations = r.report.violations();
+        std::printf("%s\n", r.line.c_str());
         if (w->scrub)
             w->scrub->start();
         wcfg.stopAtAck = 0;
@@ -346,7 +332,7 @@ runReliability(Spec &spec)
         "reliability %s rain=%d scrub=%d diefail@%llu blockfail@%llu%s | "
         "acked=%llu verified=%llu lost=%llu corrupt=%llu inflight-loss="
         "%llu data-loss-metric=%llu digest=%016llx",
-        cfg.flavor.c_str(), spec.rain ? 1 : 0, spec.scrub ? 1 : 0,
+        core::flavorName(spec.flavor), spec.rain ? 1 : 0, spec.scrub ? 1 : 0,
         static_cast<unsigned long long>(spec.diefailAt),
         static_cast<unsigned long long>(spec.blockfailAt), cut_note.c_str(),
         static_cast<unsigned long long>(led.acked),
@@ -368,8 +354,13 @@ runReliability(Spec &spec)
     spec.obs.captureMetrics(cur.dev.hostQueue());
     int status = spec.obs.finalize();
 
-    if (lost || corrupt || host_loss || recovery_violations ||
-        cur.ftl.dataLoss()) {
+    const bool data_lost =
+        lost || corrupt || host_loss || cur.ftl.dataLoss();
+    if (recovery_violations)
+        std::printf("reliability campaign: %llu recovery violation(s) at "
+                    "the remount\n",
+                    static_cast<unsigned long long>(recovery_violations));
+    if (data_lost)
         std::printf("reliability campaign: ACKNOWLEDGED DATA LOST "
                     "(%llu unreadable, %llu corrupt, %llu in-flight, "
                     "reliability.data-loss=%llu)\n",
@@ -377,12 +368,11 @@ runReliability(Spec &spec)
                     static_cast<unsigned long long>(corrupt),
                     static_cast<unsigned long long>(host_loss),
                     static_cast<unsigned long long>(cur.ftl.dataLoss()));
-        return kExitDataLoss;
-    }
-    std::printf("reliability campaign: clean — every acknowledged write "
-                "read back intact%s\n",
-                die_killed ? " across a die failure" : "");
-    return status;
+    if (!recovery_violations && !data_lost)
+        std::printf("reliability campaign: clean — every acknowledged "
+                    "write read back intact%s\n",
+                    die_killed ? " across a die failure" : "");
+    return campaignStatus(recovery_violations, data_lost, status);
 }
 
 } // namespace babol::scenario

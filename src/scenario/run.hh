@@ -13,10 +13,11 @@
 
 namespace babol::scenario {
 
-/** Exit status for acknowledged-data loss: distinct from audit
- *  findings or failed recovery (1) and from obs::cli::kExitUsage (2) /
- *  kExitPanic (3) so CI can tell them apart. */
-constexpr int kExitDataLoss = 4;
+/** Exit statuses beyond 0 (clean) and 1 (audit findings or a failed
+ *  remount verification), distinct so CI can tell them apart. */
+constexpr int kExitUsage = 2;    //!< bad command line or configuration
+constexpr int kExitPanic = 3;    //!< a simulator invariant fired
+constexpr int kExitDataLoss = 4; //!< acknowledged data lost
 
 /** Run @p spec to completion; returns the exit status. Configuration
  *  errors surface as SimFatal, broken invariants as SimPanic. */

@@ -50,20 +50,22 @@ constexpr KindInfo kKinds[] = {
 enum class Value
 {
     None,
-    Count,        //!< positive whole number
-    Path,         //!< non-empty string
-    OptionalPath, //!< only as --flag=FILE
+    Count,    //!< positive whole number, as the next argument
+    Path,     //!< non-empty string, as the next argument
+    PathOrEq, //!< Path, or attached as --flag=FILE
 };
 
 struct Flag
 {
     const char *name;
     Value value;
-    const char *metavar;
-    unsigned kinds;   //!< the kinds that read this flag
-    unsigned selects; //!< the kind giving it picks (0 = none)
+    const char *metavar; //!< usage text after the name, e.g. " FILE"
+    unsigned kinds;      //!< the kinds that read this flag
+    unsigned selects;    //!< the kind giving it picks (0 = none)
     bool repeatable;
     std::uint64_t max;
+    /** Store the value; nullptr for the observability flags, whose
+     *  values obs::cli::Options::parse() reads as in every harness. */
     void (*apply)(Spec &, std::uint64_t n, const std::string &s);
     const char *help;
 };
@@ -72,45 +74,45 @@ constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
 
 const Flag kFlags[] = {
-    {"--faults", Value::Path, "FILE", kFio | kFleet, 0, false, 0,
+    {"--faults", Value::PathOrEq, " FILE", kFio | kFleet, 0, false, 0,
      [](Spec &s, std::uint64_t, const std::string &v) { s.faultPlan = v; },
      "arm a fault plan (src/fault/fault_plan.hh) with read-retry on"},
-    {"--fleet", Value::Count, "N", kFleet, kFleet, false, kU32,
+    {"--fleet", Value::Count, " N", kFleet, kFleet, false, kU32,
      [](Spec &s, std::uint64_t n, const std::string &) { s.fleet = n; },
      "run N independent mini-SSDs"},
-    {"--streams", Value::Count, "M", kFleet, 0, false, kU32,
+    {"--streams", Value::Count, " M", kFleet, 0, false, kU32,
      [](Spec &s, std::uint64_t n, const std::string &) { s.streams = n; },
      "random-read streams per fleet member (default 1)"},
-    {"--threads", Value::Count, "T", kFleet | kQueued | kReliability, 0,
+    {"--threads", Value::Count, " T", kFleet | kQueued | kReliability, 0,
      false, kU32,
      [](Spec &s, std::uint64_t n, const std::string &) { s.threads = n; },
      "worker threads (default 1); output is identical at any T"},
-    {"--qpairs", Value::Count, "N", kQueued, kQueued, false, kU32,
+    {"--qpairs", Value::Count, " N", kQueued, kQueued, false, kU32,
      [](Spec &s, std::uint64_t n, const std::string &) { s.qpairs = n; },
      "reach the device through N NVMe submission/completion queue pairs"},
-    {"--replay", Value::Path, "FILE", kQueued, 0, false, 0,
+    {"--replay", Value::Path, " FILE", kQueued, 0, false, 0,
      [](Spec &s, std::uint64_t, const std::string &v) { s.replay = v; },
      "replay a block trace: time_us R|W lba sectors"},
-    {"--tenants", Value::Count, "N", kQueued, 0, false, kU32,
+    {"--tenants", Value::Count, " N", kQueued, 0, false, kU32,
      [](Spec &s, std::uint64_t n, const std::string &) { s.tenants = n; },
      "N rate-classed tenants (default 8 unless replaying)"},
-    {"--slo-out", Value::Path, "FILE", kQueued, 0, false, 0,
+    {"--slo-out", Value::Path, " FILE", kQueued, 0, false, 0,
      [](Spec &s, std::uint64_t, const std::string &v) { s.sloOut = v; },
      "write the per-tenant p50/p99/p999 SLO report as JSON"},
-    {"--crash-at", Value::Count, "N", kCrash | kReliability, kCrash, true,
+    {"--crash-at", Value::Count, " N", kCrash | kReliability, kCrash, true,
      kU64,
      [](Spec &s, std::uint64_t n, const std::string &) {
          s.crashAt.push_back(n);
      },
      "cut power after the Nth acknowledged write, then remount "
      "(repeatable in the crash campaign)"},
-    {"--crash-plan", Value::Path, "FILE", kCrash, kCrash, false, 0,
+    {"--crash-plan", Value::Path, " FILE", kCrash, kCrash, false, 0,
      [](Spec &s, std::uint64_t, const std::string &v) { s.crashPlan = v; },
      "one cut per 'fault powercut nth=K' line of FILE"},
     {"--remount", Value::None, "", kCrash, kCrash, false, 0,
      [](Spec &s, std::uint64_t, const std::string &) { s.remount = true; },
      "add a clean-shutdown (flush) remount cycle"},
-    {"--crash-out", Value::Path, "FILE", kCrash, 0, false, 0,
+    {"--crash-out", Value::Path, " FILE", kCrash, 0, false, 0,
      [](Spec &s, std::uint64_t, const std::string &v) { s.crashOut = v; },
      "append one recovery digest line per cycle"},
     {"--lifetime-smoke", Value::None, "", kLifetime, kLifetime, false, 0,
@@ -122,48 +124,31 @@ const Flag kFlags[] = {
     {"--scrub", Value::None, "", kReliability, kReliability, false, 0,
      [](Spec &s, std::uint64_t, const std::string &) { s.scrub = true; },
      "attach the background patrol scrubber"},
-    {"--diefail-at", Value::Count, "N", kReliability, kReliability, false,
+    {"--diefail-at", Value::Count, " N", kReliability, kReliability, false,
      kU64,
      [](Spec &s, std::uint64_t n, const std::string &) { s.diefailAt = n; },
      "kill a whole die after the Nth acknowledged write"},
-    {"--blockfail-at", Value::Count, "N", kReliability, kReliability,
+    {"--blockfail-at", Value::Count, " N", kReliability, kReliability,
      false, kU64,
      [](Spec &s, std::uint64_t n, const std::string &) {
          s.blockfailAt = n;
      },
      "fail one block after the Nth acknowledged write"},
-    {"--reliability-out", Value::Path, "FILE", kReliability, 0, false,
+    {"--reliability-out", Value::Path, " FILE", kReliability, 0, false,
      0,
      [](Spec &s, std::uint64_t, const std::string &v) {
          s.reliabilityOut = v;
      },
      "append the campaign digest line"},
-    {"--trace-out", Value::Path, "FILE", kObs, 0, false, 0,
-     [](Spec &s, std::uint64_t, const std::string &v) {
-         s.obs.traceOut = v;
-     },
+    {"--trace-out", Value::Path, " FILE", kObs, 0, false, 0, nullptr,
      "write a Perfetto (Chrome trace_event) JSON"},
-    {"--metrics-out", Value::Path, "FILE", kObs, 0, false, 0,
-     [](Spec &s, std::uint64_t, const std::string &v) {
-         s.obs.metricsOut = v;
-     },
+    {"--metrics-out", Value::Path, " FILE", kObs, 0, false, 0, nullptr,
      "dump the metrics registry as JSON"},
-    {"--audit", Value::OptionalPath, "[=FILE]", kObs | kFleet, 0, false,
-     0,
-     [](Spec &s, std::uint64_t, const std::string &v) {
-         s.obs.audit = true;
-         s.obs.auditOut = v;
-     },
-     "arm the ONFI conformance auditor; report to stdout or FILE"},
-    {"--power-out", Value::Path, "FILE", kObs, 0, false, 0,
-     [](Spec &s, std::uint64_t, const std::string &v) {
-         s.obs.powerOut = v;
-     },
+    {"--audit", Value::None, "[=FILE]", kObs | kFleet, 0, false, 0,
+     nullptr, "arm the ONFI conformance auditor; report to stdout or FILE"},
+    {"--power-out", Value::Path, " FILE", kObs, 0, false, 0, nullptr,
      "enable the power model; write the per-rail energy JSON"},
-    {"--power-cap", Value::Count, "MW", kObs, 0, false, kU64,
-     [](Spec &s, std::uint64_t n, const std::string &) {
-         s.obs.powerCapMw = n;
-     },
+    {"--power-cap", Value::Count, " MW", kObs, 0, false, 0, nullptr,
      "enable the power model under a per-channel power cap"},
 };
 
@@ -177,22 +162,12 @@ kindOf(unsigned mask)
     panic("kind mask %#x names no single scenario", mask);
 }
 
-/** "fleet (--fleet), queued front end (--qpairs)" for a kind mask. */
-std::string
-describeKinds(unsigned kinds)
+/** "'ARG' is malformed; write --flag VALUE" */
+UsageError
+malformed(const std::string &arg, const Flag &f)
 {
-    std::string out;
-    for (const KindInfo &k : kKinds) {
-        if (!(kinds & bit(k.kind)))
-            continue;
-        std::string sel;
-        for (const Flag &f : kFlags)
-            if (f.selects == bit(k.kind))
-                sel += std::string(sel.empty() ? "" : "/") + f.name;
-        out += strfmt("%s%s (%s)", out.empty() ? "" : ", ", k.name,
-                      sel.empty() ? "the default" : sel.c_str());
-    }
-    return out;
+    return UsageError(strfmt("'%s' is malformed; write %s%s", arg.c_str(),
+                             f.name, f.metavar));
 }
 
 std::uint64_t
@@ -218,7 +193,7 @@ Spec
 parseArgs(const std::vector<std::string> &args)
 {
     Spec spec;
-    bool flavor_seen = false;
+    const char *flavor_arg = nullptr;
     std::vector<const Flag *> given;
 
     for (const std::string &arg : args) {
@@ -227,59 +202,64 @@ parseArgs(const std::vector<std::string> &args)
             return spec;
         }
     }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
+    // obs::cli::Options::parse() reads argv the way main() gets it.
+    std::vector<std::string> owned(args);
+    std::vector<char *> argv;
+    for (std::string &a : owned)
+        argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+
+    for (int i = 0; i < argc; ++i) {
+        const std::string arg = argv[i];
         if (arg.empty() || arg[0] != '-') {
-            if (flavor_seen)
+            if (flavor_arg)
                 throw UsageError(strfmt("more than one flavour given "
                                         "('%s' and '%s')",
-                                        spec.flavorArg.c_str(),
-                                        arg.c_str()));
+                                        flavor_arg, arg.c_str()));
             auto f = core::parseFlavor(arg);
             if (!f)
                 throw UsageError(strfmt("unknown controller flavour '%s' "
                                         "(expected %s)",
                                         arg.c_str(), core::kFlavorChoices));
             spec.flavor = *f;
-            spec.flavorArg = arg;
-            flavor_seen = true;
+            flavor_arg = argv[i];
             continue;
         }
 
         const std::size_t eq = arg.find('=');
-        const std::string name = arg.substr(0, eq);
         const Flag *flag = nullptr;
         for (const Flag &f : kFlags)
-            if (name == f.name)
+            if (arg.compare(0, eq, f.name) == 0)
                 flag = &f;
         if (!flag)
-            throw UsageError(strfmt("unknown flag '%s'", name.c_str()));
+            throw UsageError(strfmt("unknown flag '%s'",
+                                    arg.substr(0, eq).c_str()));
         for (const Flag *g : given)
             if (g == flag && !flag->repeatable)
                 throw UsageError(strfmt("%s given twice", flag->name));
+        given.push_back(flag);
 
+        if (!flag->apply) {
+            if (!spec.obs.parse(argc, argv.data(), i))
+                throw malformed(arg, *flag);
+            continue;
+        }
         std::string value;
         if (eq != std::string::npos) {
-            if (flag->value == Value::None)
-                throw UsageError(strfmt("%s takes no value", flag->name));
+            if (flag->value != Value::PathOrEq)
+                throw malformed(arg, *flag);
             value = arg.substr(eq + 1);
-        } else if (flag->value == Value::Count ||
-                   flag->value == Value::Path) {
-            if (i + 1 >= args.size())
-                throw UsageError(strfmt("%s needs a value (%s)", flag->name,
-                                        flag->metavar));
-            value = args[++i];
+        } else if (flag->value != Value::None) {
+            if (i + 1 >= argc)
+                throw malformed(arg, *flag);
+            value = argv[++i];
         }
         std::uint64_t n = 0;
         if (flag->value == Value::Count)
             n = parseCount(*flag, value);
-        if ((flag->value == Value::Path ||
-             (flag->value == Value::OptionalPath &&
-              eq != std::string::npos)) &&
-            value.empty())
+        else if (flag->value != Value::None && value.empty())
             throw UsageError(strfmt("%s needs a file name", flag->name));
         flag->apply(spec, n, value);
-        given.push_back(flag);
     }
 
     // The selecting flags pick the scenario: one kind must read them
@@ -304,11 +284,15 @@ parseArgs(const std::vector<std::string> &args)
 
     // Every other flag must be one the scenario reads.
     for (const Flag *f : given) {
-        if (!(f->kinds & bit(spec.kind)))
-            throw UsageError(strfmt("%s has no effect on the %s; it is read "
-                                    "by the %s",
-                                    f->name, kindName(spec.kind),
-                                    describeKinds(f->kinds).c_str()));
+        if (f->kinds & bit(spec.kind))
+            continue;
+        std::string readers;
+        for (const KindInfo &k : kKinds)
+            if (f->kinds & bit(k.kind))
+                readers += std::string(readers.empty() ? "" : ", ") + k.name;
+        throw UsageError(strfmt("%s has no effect on the %s; it is read by "
+                                "the %s",
+                                f->name, kindName(spec.kind), readers.c_str()));
     }
     if (spec.kind == Kind::Reliability && !spec.crashAt.empty()) {
         const std::uint64_t cut = spec.crashAt.front();
@@ -347,22 +331,18 @@ usage(const char *prog)
         "a flag\nthe scenario does not read is an error.\n"
         "\nscenarios:\n",
         prog, core::kFlavorChoices);
-    for (const KindInfo &k : kKinds)
-        out += strfmt("  %s\n      %s\n", describeKinds(bit(k.kind)).c_str(),
-                      k.what);
-    out += "\nflags:\n";
-    for (const Flag &f : kFlags) {
-        std::string head = f.name;
-        if (f.value != Value::None)
-            head += std::string(f.value == Value::OptionalPath ? "" : " ") +
-                    f.metavar;
-        std::string scope;
-        for (const KindInfo &k : kKinds)
-            if (f.kinds & bit(k.kind))
-                scope += std::string(scope.empty() ? "" : ", ") + k.name;
-        out += strfmt("  %-22s %s\n  %-22s [%s]\n", head.c_str(), f.help,
-                      "", scope.c_str());
+    for (const KindInfo &k : kKinds) {
+        std::string picks;
+        for (const Flag &f : kFlags)
+            if (f.selects == bit(k.kind))
+                picks += std::string(picks.empty() ? "" : " ") + f.name;
+        out += strfmt("  %s (%s)\n      %s\n", k.name,
+                      picks.empty() ? "no flag" : picks.c_str(), k.what);
     }
+    out += "\nflags:\n";
+    for (const Flag &f : kFlags)
+        out += strfmt("  %-22s %s\n", (std::string(f.name) + f.metavar).c_str(),
+                      f.help);
     out += "\nexit status: 0 clean; 1 audit findings or failed recovery; "
            "2 bad usage or\nconfiguration; 3 simulator panic; 4 "
            "acknowledged data lost\n";

@@ -7,7 +7,9 @@
  * single flag table that records, for every flag, which kinds use it:
  * the flags present pick the kind, and a flag the chosen kind would not
  * read, two flags picking different kinds, a repeated flag, or a
- * malformed or zero count is a UsageError, never silently ignored.
+ * malformed or zero count is a UsageError, never silently ignored. The
+ * observability flags share their grammar with every other harness
+ * through obs::cli::Options::parse().
  */
 
 #ifndef BABOL_SCENARIO_SPEC_HH
@@ -41,8 +43,7 @@ struct Spec
 {
     Kind kind = Kind::Fio;
     core::Flavor flavor = core::Flavor::Coro;
-    std::string flavorArg = "coro"; //!< as spelled on the command line
-    bool help = false;              //!< --help: print usage, run nothing
+    bool help = false; //!< --help: print usage, run nothing
 
     std::string faultPlan;   //!< Fio, Fleet: --faults
     std::uint32_t threads = 1; //!< Fleet, Queued, Reliability
@@ -77,7 +78,8 @@ class UsageError : public std::runtime_error
 };
 
 /** Parse @p args (program name excluded) into a Spec; throws
- *  UsageError on misuse. */
+ *  UsageError on misuse. The observability flags are read by
+ *  obs::cli::Options::parse(), so a bad --power-cap is its SimFatal. */
 Spec parseArgs(const std::vector<std::string> &args);
 
 /** The full usage text, generated from the flag table. */

@@ -1,6 +1,5 @@
 #include "sharded_ssd.hh"
 
-#include "core/controller_factory.hh"
 #include "ssd/lookahead.hh"
 
 namespace babol::ssd {
@@ -15,7 +14,6 @@ ShardedSsd::ShardedSsd(const std::string &name, SsdConfig cfg)
 {
     babol_assert(cfg_.channels >= 1 && cfg_.channels <= 16,
                  "SSD supports 1..16 channels, got %u", cfg_.channels);
-    const core::Flavor flavor = core::flavorOrFatal(cfg_.flavor);
 
     dram_ = std::make_unique<dram::DramBuffer>(
         hostQueue(), name + ".dram", cfg_.dramBytes, 1600.0,
@@ -36,7 +34,7 @@ ShardedSsd::ShardedSsd(const std::string &name, SsdConfig cfg)
         soft.cpuMhz = cfg_.cpuMhz;
         soft.maxReadRetries = cfg_.maxReadRetries;
         controllers_.push_back(
-            core::makeController(flavor, ceq, cname, sys, soft));
+            core::makeController(cfg_.flavor, ceq, cname, sys, soft));
     }
 
     // One ExecContext per shard, all recording against the process

@@ -1,6 +1,5 @@
 #include "ssd.hh"
 
-#include "core/controller_factory.hh"
 #include "ssd/lookahead.hh"
 
 namespace babol::ssd {
@@ -10,7 +9,6 @@ Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
 {
     babol_assert(cfg_.channels >= 1 && cfg_.channels <= 16,
                  "SSD supports 1..16 channels, got %u", cfg_.channels);
-    const core::Flavor flavor = core::flavorOrFatal(cfg_.flavor);
 
     if (!cfg_.channel.package.faults) {
         faultsOwned_ = std::make_unique<fault::FaultEngine>();
@@ -35,7 +33,7 @@ Ssd::Ssd(EventQueue &eq, const std::string &name, SsdConfig cfg)
         soft.cpuMhz = cfg_.cpuMhz;
         soft.maxReadRetries = cfg_.maxReadRetries;
         controllers_.push_back(
-            core::makeController(flavor, eq, cname, sys, soft));
+            core::makeController(cfg_.flavor, eq, cname, sys, soft));
     }
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/controller.hh"
+#include "core/controller_factory.hh"
 
 namespace babol::ssd {
 
@@ -25,8 +26,8 @@ struct SsdConfig
     /** Per-channel configuration (chips here = ways per channel). */
     core::ChannelConfig channel;
 
-    /** Controller flavour, as core::parseFlavor() spells it. */
-    std::string flavor = "coro";
+    /** Controller flavour (a spelling is parsed on assignment). */
+    core::FlavorSetting flavor = core::Flavor::Coro;
 
     /** Embedded CPU frequency for the software flavours. */
     std::uint32_t cpuMhz = 1000;

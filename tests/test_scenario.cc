@@ -57,7 +57,6 @@ TEST(ScenarioSpec, FlagsPickTheScenario)
     const Spec q = parse({"hw", "--qpairs", "2"});
     EXPECT_EQ(q.kind, Kind::Queued);
     EXPECT_EQ(q.flavor, core::Flavor::HwAsync);
-    EXPECT_EQ(q.flavorArg, "hw");
     EXPECT_EQ(q.tenants, 8u) << "a queued run without a replay needs "
                                 "traffic";
     EXPECT_EQ(parse({"--qpairs", "2", "--replay", "t.txt"}).tenants, 0u);
@@ -129,7 +128,10 @@ TEST(ScenarioSpec, MalformedArgumentsAreRejected)
                                       "99999999999999999999999"},
              std::vector<std::string>{"--fleet"},
              std::vector<std::string>{"--remount=1"},
+             std::vector<std::string>{"--fleet=3"},
              std::vector<std::string>{"--audit="},
+             std::vector<std::string>{"--trace-out=t.json"},
+             std::vector<std::string>{"--trace-out"},
              std::vector<std::string>{"--rain", "--rain"},
              std::vector<std::string>{"--bogus"},
              std::vector<std::string>{"fpga"},
@@ -139,16 +141,22 @@ TEST(ScenarioSpec, MalformedArgumentsAreRejected)
     }
 }
 
-TEST(ScenarioSpec, ValuesMayBeAttachedWithEquals)
+TEST(ScenarioSpec, ObservabilityFlagsUseTheSharedGrammar)
 {
-    const Spec s = parse({"--fleet=3", "--threads=2", "--audit=r.txt"});
-    EXPECT_EQ(s.kind, Kind::Fleet);
-    EXPECT_EQ(s.fleet, 3u);
-    EXPECT_EQ(s.threads, 2u);
+    // obs::cli::Options::parse() reads them, as in every harness: only
+    // --audit takes an attached value, as only --faults does among the
+    // scenario flags.
+    const Spec s = parse({"--trace-out", "t.json", "--audit=r.txt",
+                          "--faults=p.txt"});
+    EXPECT_EQ(s.obs.traceOut, "t.json");
     EXPECT_TRUE(s.obs.audit);
     EXPECT_EQ(s.obs.auditOut, "r.txt");
+    EXPECT_EQ(s.faultPlan, "p.txt");
     EXPECT_TRUE(parse({"--audit"}).obs.audit);
     EXPECT_EQ(parse({"--audit"}).obs.auditOut, "");
+    EXPECT_EQ(parse({"--qpairs", "2", "--power-cap", "900"}).obs.powerCapMw,
+              900u);
+    EXPECT_THROW(parse({"--power-cap", "9x"}), SimFatal);
 }
 
 TEST(ScenarioSpec, HelpWinsAndUsageListsEveryScenario)
@@ -211,6 +219,18 @@ TEST(StampOracle, DigestFoldsLittleEndianWordsInOrder)
     }
     c.fold(0x1234);
     EXPECT_EQ(c.value, ref);
+}
+
+TEST(StampOracle, FailedRemountOutranksLaterDataLoss)
+{
+    // A remount verification that finds violations exits 1 in both the
+    // crash and the reliability campaign; loss found only afterwards is
+    // kExitDataLoss; otherwise the observability verdict stands.
+    EXPECT_EQ(campaignStatus(2, true, 0), 1);
+    EXPECT_EQ(campaignStatus(1, false, 0), 1);
+    EXPECT_EQ(campaignStatus(0, true, 1), kExitDataLoss);
+    EXPECT_EQ(campaignStatus(0, false, 1), 1);
+    EXPECT_EQ(campaignStatus(0, false, 0), 0);
 }
 
 // ---------------------------------------------------------------------
