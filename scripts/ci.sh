@@ -12,7 +12,8 @@
 # the race detector.
 #
 # Stages (all run when no flag is given; CI runs them as separate jobs):
-#   --plain-only   configure/build/ctest, default flags
+#   --plain-only   configure/build/ctest, default flags, then the golden
+#                  outputs (ctest -L golden: tests/golden/manifest.txt)
 #   --asan-only    configure/build/ctest with ASan + UBSan
 #   --tsan-only    configure/build/ctest with TSan + the sharded fig12
 #                  workload on 4 threads
@@ -39,6 +40,10 @@
 #                  surviving block failure, and the no-RAIN control that
 #                  MUST lose data (same build requirement)
 #
+# The golden cases run in the plain stage only: they pin the outputs of
+# whole command lines, which the sanitizer and audit stages would
+# rerun slower without covering anything new.
+#
 # Usage: scripts/ci.sh
 #   [--plain-only|--asan-only|--tsan-only|--audit-only|--crash-only|
 #    --guard-only|--reliability-only]
@@ -53,7 +58,7 @@ run_suite() {
     local dir="$1"; shift
     cmake -B "$dir" -S "$ROOT" "$@"
     cmake --build "$dir" -j"$JOBS"
-    ctest --test-dir "$dir" --output-on-failure -j"$JOBS"
+    ctest --test-dir "$dir" --output-on-failure -j"$JOBS" -LE golden
 }
 
 ensure_plain_build() {
@@ -66,6 +71,8 @@ ensure_plain_build() {
 stage_plain() {
     echo "=== tier-1: plain ==="
     run_suite "$ROOT/build"
+    echo "=== tier-1: golden outputs (ctest -L golden) ==="
+    ctest --test-dir "$ROOT/build" --output-on-failure -j"$JOBS" -L golden
 }
 
 stage_asan() {
@@ -91,7 +98,7 @@ stage_audit() {
     ensure_plain_build
     echo "=== tier-1: ONFI conformance audit (BABOL_AUDIT=1) ==="
     BABOL_AUDIT=1 ctest --test-dir "$ROOT/build" --output-on-failure \
-        -j"$JOBS"
+        -j"$JOBS" -LE golden
     BABOL_AUDIT=1 "$ROOT/build/bench/fig10_sw_overhead" --quick >/dev/null
     BABOL_AUDIT=1 "$ROOT/build/bench/fig11_polling_breakdown" >/dev/null
     BABOL_AUDIT=1 "$ROOT/build/bench/fig12_end_to_end" --quick >/dev/null
