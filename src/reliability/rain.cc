@@ -342,9 +342,12 @@ RainManager::doRelease(std::uint32_t chip, std::uint32_t block,
     // patched out of its stripe — reads only, no data moves, so the
     // erase can never deadlock behind a write and frees every page it
     // promises. A doomed parity page folds back to DRAM and the
-    // stripe queues a parity rewrite.
+    // stripe queues a parity rewrite. The step holds itself weakly:
+    // the pending read's callbacks keep it alive, so it is freed once
+    // the last unit is done.
     auto step = std::make_shared<std::function<void()>>();
-    *step = [this, st, step] {
+    *step = [this, st, weak = std::weak_ptr(step)] {
+        const auto step = weak.lock();
         if (st->i >= st->doomed.size()) {
             obs::trace().endSpan(st->span, curTick());
             st->proceed();
@@ -464,7 +467,9 @@ RainManager::rebuildUnit(
 
     const std::uint64_t addr = ftl_.reliabilityScratchAddr(slot);
     auto step = std::make_shared<std::function<void()>>();
-    *step = [this, st, step, addr, done = std::move(done)] {
+    *step = [this, st, weak = std::weak_ptr(step), addr,
+             done = std::move(done)] {
+        const auto step = weak.lock(); // held by the pending read
         if (st->i >= st->sources.size()) {
             done(true, std::move(st->acc));
             return;
