@@ -28,7 +28,7 @@
  * window's bound and can never arrive in a shard's past. L is derived
  * from the modeled minimum cross-shard latency (for BABOL: the channel
  * interconnect/dispatch hop floor — CE setup + command/address cycles +
- * tWB; see ssd/lookahead.hh).
+ * tWB; see interconnectLookahead() in ssd/ssd.hh).
  *
  * Error handling: a SimPanic (or any exception) thrown inside a shard is
  * captured, every thread still reaches the barrier (no deadlock), the

@@ -1,42 +1,20 @@
 #include "sharded_ssd.hh"
 
-#include "ssd/lookahead.hh"
-
 namespace babol::ssd {
 
+ShardEngine::ShardEngine(const SsdConfig &cfg)
+    : engine_(cfg.channels + 1,
+              interconnectLookahead(cfg.channel.package.timing))
+{}
+
 ShardedSsd::ShardedSsd(const std::string &name, SsdConfig cfg)
-    : name_(name),
-      cfg_(cfg),
-      faults_(std::make_unique<fault::FaultEngine>()),
-      engine_(cfg.channels + 1,
-              interconnectLookahead(cfg.channel.package.timing)),
+    : ShardEngine(cfg),
+      Device(name, cfg, engine_.queue(0),
+             [this](std::uint32_t ch) -> EventQueue & {
+                 return engine_.queue(1 + ch);
+             }),
       metrics_(obs::metrics(), name + ".engine")
 {
-    babol_assert(cfg_.channels >= 1 && cfg_.channels <= 16,
-                 "SSD supports 1..16 channels, got %u", cfg_.channels);
-
-    dram_ = std::make_unique<dram::DramBuffer>(
-        hostQueue(), name + ".dram", cfg_.dramBytes, 1600.0,
-        200 * ticks::perNs, cfg_.channel.package.power);
-
-    for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) {
-        EventQueue &ceq = engine_.queue(1 + ch);
-        core::ChannelConfig ccfg = cfg_.channel;
-        ccfg.externalDram = dram_.get();
-        ccfg.seed = cfg_.channel.seed + ch * 7717;
-        ccfg.package.faults = faults_.get();
-        systems_.push_back(std::make_unique<core::ChannelSystem>(
-            ceq, strfmt("%s.ch%u", name.c_str(), ch), ccfg));
-
-        core::ChannelSystem &sys = *systems_.back();
-        std::string cname = strfmt("%s.ch%u.ctrl", name.c_str(), ch);
-        core::SoftControllerConfig soft;
-        soft.cpuMhz = cfg_.cpuMhz;
-        soft.maxReadRetries = cfg_.maxReadRetries;
-        controllers_.push_back(
-            core::makeController(cfg_.flavor, ceq, cname, sys, soft));
-    }
-
     // One ExecContext per shard, all recording against the process
     // metrics registry (counters stay shard-local; the registry mutex
     // only guards registration). Installed around every bounded run of
@@ -70,22 +48,6 @@ ShardedSsd::ShardedSsd(const std::string &name, SsdConfig cfg)
                    [this] { return engine_.maxLinkOverflowHighWater(); });
 }
 
-ShardedSsd::~ShardedSsd() = default;
-
-core::ChannelSystem &
-ShardedSsd::channelSystem(std::uint32_t ch)
-{
-    babol_assert(ch < systems_.size(), "channel %u out of range", ch);
-    return *systems_[ch];
-}
-
-core::ChannelController &
-ShardedSsd::controller(std::uint32_t ch)
-{
-    babol_assert(ch < controllers_.size(), "channel %u out of range", ch);
-    return *controllers_[ch];
-}
-
 void
 ShardedSsd::mergeTraces()
 {
@@ -99,11 +61,7 @@ ShardedSsd::mergeTraces()
 void
 ShardedSsd::submit(core::FlashRequest req)
 {
-    const std::uint32_t ways = cfg_.channel.chips;
-    babol_assert(req.chip < backendChipCount(),
-                 "global chip %u out of range", req.chip);
-    const std::uint32_t channel = req.chip / ways;
-    req.chip = req.chip % ways;
+    const std::uint32_t channel = route(req);
 
     // The completion crosses back host-ward over the same interconnect
     // hop the dispatch pays; the classic Ssd charges the identical L on
@@ -122,7 +80,7 @@ ShardedSsd::submit(core::FlashRequest req)
     const Tick when = hostQueue().now() + hop;
     engine_.post(0, 1 + channel, when,
                  [this, channel, req = std::move(req)]() mutable {
-                     controllers_[channel]->submit(std::move(req));
+                     controller(channel).submit(std::move(req));
                  });
 }
 
@@ -149,33 +107,6 @@ ShardedSsd::run(std::uint32_t threads, Tick until)
         obs::audit::Auditor::instance().absorb(*a);
     auditors_.clear();
     return fired;
-}
-
-std::uint64_t
-ShardedSsd::opsCompleted() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &ctrl : controllers_)
-        sum += ctrl->opsCompleted();
-    return sum;
-}
-
-std::uint64_t
-ShardedSsd::payloadBytesRead() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &ctrl : controllers_)
-        sum += ctrl->payloadBytesRead();
-    return sum;
-}
-
-std::uint64_t
-ShardedSsd::payloadBytesWritten() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &ctrl : controllers_)
-        sum += ctrl->payloadBytesWritten();
-    return sum;
 }
 
 } // namespace babol::ssd

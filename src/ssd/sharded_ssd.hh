@@ -1,6 +1,6 @@
 /**
  * @file
- * The multi-core SSD: the same device Ssd builds — N channels sharing
+ * The multi-core SSD: the same Device Ssd places — N channels sharing
  * one staging DRAM behind a flat chip space — but partitioned across a
  * ParallelEngine at channel granularity. Shard 0 is the host complex
  * (HIC / FTL / workload generator / DRAM accounting); shard 1+ch runs
@@ -8,7 +8,7 @@
  *
  * The FTL talks to a ShardedSsd exactly as it talks to an Ssd: through
  * FlashBackend::submit(). The submit crosses to the channel shard over
- * a shard link after the modeled interconnect hop L (ssd/lookahead.hh),
+ * a shard link after the modeled interconnect hop L (ssd/ssd.hh),
  * and the completion crosses back the same way — the identical hop the
  * classic Ssd charges on its single queue, so a one-thread sharded run
  * simulates the same device as the classic engine.
@@ -24,9 +24,10 @@
  * coherent trace. Each shard likewise gets a detached Auditor clone
  * whose findings are absorbed into the process auditor after the run.
  *
- * The device owns its FaultEngine (wired through PackageConfig::faults)
- * so back-to-back sims and fleet members never bleed campaign state
- * into each other.
+ * The assembly itself — DRAM, channels, controllers, the device-owned
+ * FaultEngine that keeps back-to-back sims and fleet members from
+ * bleeding campaign state into each other, chip routing and counters —
+ * is Device's (ssd/ssd.hh); this placement adds only the engine.
  */
 
 #ifndef BABOL_SSD_SHARDED_SSD_HH
@@ -44,35 +45,27 @@
 
 namespace babol::ssd {
 
-class ShardedSsd : public core::FlashBackend
+/** Base-from-member: ShardedSsd's engine is a base listed before
+ *  Device, so the shard queues exist before Device places the DRAM and
+ *  the channels on them, and outlive every object that schedules there. */
+struct ShardEngine
+{
+    explicit ShardEngine(const SsdConfig &cfg);
+    sim::ParallelEngine engine_;
+};
+
+class ShardedSsd : private ShardEngine, public Device
 {
   public:
     ShardedSsd(const std::string &name, SsdConfig cfg);
-    ~ShardedSsd() override;
-
-    const std::string &name() const { return name_; }
-    const SsdConfig &config() const { return cfg_; }
-
-    std::uint32_t channelCount() const { return cfg_.channels; }
-    std::uint32_t waysPerChannel() const { return cfg_.channel.chips; }
 
     /** Shard count: host + one per channel. */
-    std::uint32_t shardCount() const { return cfg_.channels + 1; }
+    std::uint32_t shardCount() const { return channelCount() + 1; }
 
     sim::ParallelEngine &engine() { return engine_; }
 
     /** Queue of the host shard — build the FTL / workload here. */
     EventQueue &hostQueue() { return engine_.queue(0); }
-
-    /** The modeled host<->channel hop == the engine's lookahead L. */
-    Tick lookahead() const { return engine_.lookahead(); }
-
-    /** This device's fault engine (arm campaigns here, not on the
-     *  process default). */
-    fault::FaultEngine &faults() const { return *faults_; }
-
-    core::ChannelSystem &channelSystem(std::uint32_t ch);
-    core::ChannelController &controller(std::uint32_t ch);
 
     /**
      * Run the device with @p threads workers until every shard drains
@@ -81,40 +74,11 @@ class ShardedSsd : public core::FlashBackend
      */
     std::uint64_t run(std::uint32_t threads, Tick until = kMaxTick);
 
-    // --- FlashBackend (call from host-shard code only) ---
+    /** FlashBackend; call from host-shard code only. */
     void submit(core::FlashRequest req) override;
-    std::uint32_t backendChipCount() const override
-    {
-        return cfg_.channels * cfg_.channel.chips;
-    }
-    const nand::Geometry &backendGeometry() const override
-    {
-        return cfg_.channel.package.geometry;
-    }
-    dram::DramBuffer &backendDram() override { return *dram_; }
-    fault::FaultEngine &backendFaults() override { return *faults_; }
-    std::string backendChipName(std::uint32_t chip) const override
-    {
-        const std::uint32_t ways = cfg_.channel.chips;
-        return strfmt("%s.ch%u.pkg%u", name_.c_str(), chip / ways,
-                      chip % ways);
-    }
-
-    // --- Aggregated stats (read after run() returns) ---
-    std::uint64_t opsCompleted() const;
-    std::uint64_t payloadBytesRead() const;
-    std::uint64_t payloadBytesWritten() const;
 
   private:
     void mergeTraces();
-
-    std::string name_;
-    SsdConfig cfg_;
-    std::unique_ptr<fault::FaultEngine> faults_;
-    sim::ParallelEngine engine_;
-    std::unique_ptr<dram::DramBuffer> dram_;
-    std::vector<std::unique_ptr<core::ChannelSystem>> systems_;
-    std::vector<std::unique_ptr<core::ChannelController>> controllers_;
 
     /** Per-shard obs/audit contexts, installed by the shard hooks. */
     std::vector<std::unique_ptr<obs::ExecContext>> ctxs_;
