@@ -48,9 +48,6 @@ ExecUnit::tryIssue()
     }
 
     BuiltSegment built = ufsms_.emit(txn);
-    dtrace("Exec", "%s: issue '%s' @%0.3f us", name().c_str(),
-           txn.label.c_str(), ticks::toUs(curTick()));
-
     if (txn.ctx.span == obs::kNoSpan && ctxResolver_)
         txn.ctx.span = ctxResolver_(txn.chip);
     built.segment.ctx = txn.ctx;

@@ -166,9 +166,6 @@ Lun::commandLatch(std::uint8_t cmd)
 {
     using namespace opcode;
 
-    dtrace("Lun", "%s: CMD 0x%02x @%llu", name().c_str(), cmd,
-           static_cast<unsigned long long>(curTick()));
-
     // Any command latch ends the READ STATUS output overlay; the status
     // commands below re-arm it.
     statusMode_ = false;

@@ -97,7 +97,7 @@ Auditor::Auditor()
 {
     // BABOL_AUDIT=1 arms the default sanitizer mode: panic on the first
     // violation, no forced tracing (flight dumps show whatever the ring
-    // holds). Mirrors the BABOL_DEBUG env convention.
+    // holds).
     const char *env = std::getenv("BABOL_AUDIT");
     if (env && *env && std::strcmp(env, "0") != 0)
         arm();

@@ -1,11 +1,6 @@
 #include "logging.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <set>
-#include <vector>
 
 namespace babol {
 
@@ -74,69 +69,6 @@ inform(const char *fmt, ...)
     std::string msg = vstrfmt(fmt, args);
     va_end(args);
     std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-namespace {
-
-std::set<std::string> &
-flagSet()
-{
-    static std::set<std::string> flags = [] {
-        std::set<std::string> init;
-        if (const char *env = std::getenv("BABOL_DEBUG")) {
-            std::string s(env);
-            std::size_t pos = 0;
-            while (pos < s.size()) {
-                std::size_t comma = s.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = s.size();
-                if (comma > pos)
-                    init.insert(s.substr(pos, comma - pos));
-                pos = comma + 1;
-            }
-        }
-        return init;
-    }();
-    return flags;
-}
-
-} // namespace
-
-void
-DebugFlags::enable(const std::string &flag)
-{
-    flagSet().insert(flag);
-}
-
-void
-DebugFlags::disable(const std::string &flag)
-{
-    flagSet().erase(flag);
-}
-
-bool
-DebugFlags::enabled(const std::string &flag)
-{
-    const auto &flags = flagSet();
-    return flags.count(flag) > 0 || flags.count("All") > 0;
-}
-
-void
-DebugFlags::clearAll()
-{
-    flagSet().clear();
-}
-
-void
-dtrace(const char *flag, const char *fmt, ...)
-{
-    if (!DebugFlags::enabled(flag))
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    std::string msg = vstrfmt(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "%s: %s\n", flag, msg.c_str());
 }
 
 } // namespace babol

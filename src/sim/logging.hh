@@ -66,28 +66,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
         }                                                                   \
     } while (0)
 
-/**
- * Debug trace support. Trace output is off by default and enabled per
- * named flag (e.g., "Bus", "Lun", "Coro") via DebugFlags::enable() or the
- * BABOL_DEBUG environment variable (comma-separated flag names, or "All").
- */
-class DebugFlags
-{
-  public:
-    /** Enable one flag by name. */
-    static void enable(const std::string &flag);
-    /** Disable one flag by name. */
-    static void disable(const std::string &flag);
-    /** True when the flag (or "All") is enabled. */
-    static bool enabled(const std::string &flag);
-    /** Remove all enabled flags. */
-    static void clearAll();
-};
-
-/** Emit a trace line when the named debug flag is enabled. */
-void dtrace(const char *flag, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
 } // namespace babol
 
 #endif // BABOL_SIM_LOGGING_HH

@@ -395,19 +395,6 @@ TEST(Logging, AssertMacroFiresOnFalse)
     EXPECT_NO_THROW(babol_assert(true, "fine"));
 }
 
-TEST(Logging, DebugFlagsToggle)
-{
-    DebugFlags::clearAll();
-    EXPECT_FALSE(DebugFlags::enabled("Bus"));
-    DebugFlags::enable("Bus");
-    EXPECT_TRUE(DebugFlags::enabled("Bus"));
-    DebugFlags::disable("Bus");
-    EXPECT_FALSE(DebugFlags::enabled("Bus"));
-    DebugFlags::enable("All");
-    EXPECT_TRUE(DebugFlags::enabled("Anything"));
-    DebugFlags::clearAll();
-}
-
 TEST(Table, AlignsAndCounts)
 {
     Table t({"a", "bbbb"});
