@@ -42,7 +42,7 @@ run(nand::Vendor vendor, std::uint32_t rate_mt, const std::string &flavor,
 
 int
 main(int argc, char **argv)
-{
+try {
     bool quick = false, csv = false;
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
@@ -50,8 +50,12 @@ main(int argc, char **argv)
             continue;
         if (std::string(argv[i]) == "--quick")
             quick = true;
-        if (std::string(argv[i]) == "--csv")
+        else if (std::string(argv[i]) == "--csv")
             csv = true;
+        else
+            fatal("'%s' is not a flag here, or lacks its value; usage: "
+                  "fig10_sw_overhead [--quick] [--csv] %s",
+                  argv[i], obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
 
@@ -112,4 +116,6 @@ main(int argc, char **argv)
                  "coroutines want a fast core; throughput\ngrows with "
                  "LUNs until the channel saturates.\n";
     return obs_opts.finalize();
+} catch (const SimFatal &) { // fatal() already said why, on one line
+    return 2;
 }

@@ -108,12 +108,13 @@ measure(const std::string &flavor)
 
 int
 main(int argc, char **argv)
-{
+try {
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
         if (!obs_opts.parse(argc, argv, i))
-            fatal("usage: fig11_polling_breakdown %s",
-                  obs::cli::Options::usage());
+            fatal("'%s' is not a flag here, or lacks its value; usage: "
+                  "fig11_polling_breakdown %s",
+                  argv[i], obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
 
@@ -149,4 +150,6 @@ main(int argc, char **argv)
     std::cout << "\n--- Logic-analyzer view (Coroutine) ---\n"
               << coro.timeline;
     return obs_opts.finalize();
+} catch (const SimFatal &) { // fatal() already said why, on one line
+    return 2;
 }

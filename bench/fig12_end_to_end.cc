@@ -10,7 +10,7 @@
  * ARM, as in the paper.
  */
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -227,7 +227,7 @@ runShardedSsd(const std::string &flavor, std::uint32_t channels,
 
 int
 main(int argc, char **argv)
-{
+try {
     bool quick = false, csv = false;
     std::uint32_t threads = 0; // 0 = classic single-queue engine
     std::uint32_t qpairs = 0;  // 0 = direct-call host path
@@ -235,14 +235,30 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (obs_opts.parse(argc, argv, i))
             continue;
-        if (std::string(argv[i]) == "--quick")
+        const std::string arg = argv[i];
+        // A count is a whole number from 1 up: "abc" or "0" would
+        // otherwise quietly select the classic engine.
+        auto count = [&] {
+            const char *v = i + 1 < argc ? argv[++i] : "";
+            auto n = obs::cli::parseCount(v, UINT32_MAX);
+            if (!n)
+                fatal("%s needs a whole number from 1 up, got '%s'",
+                      arg.c_str(), v);
+            return static_cast<std::uint32_t>(*n);
+        };
+        if (arg == "--quick")
             quick = true;
-        if (std::string(argv[i]) == "--csv")
+        else if (arg == "--csv")
             csv = true;
-        if (std::string(argv[i]) == "--threads" && i + 1 < argc)
-            threads = std::strtoul(argv[++i], nullptr, 10);
-        if (std::string(argv[i]) == "--qpairs" && i + 1 < argc)
-            qpairs = std::strtoul(argv[++i], nullptr, 10);
+        else if (arg == "--threads")
+            threads = count();
+        else if (arg == "--qpairs")
+            qpairs = count();
+        else
+            fatal("'%s' is not a flag here, or lacks its value; usage: "
+                  "fig12_end_to_end [--quick] [--csv] [--threads N] "
+                  "[--qpairs N] %s",
+                  argv[i], obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
 
@@ -360,4 +376,6 @@ main(int argc, char **argv)
                  "(random) of the baseline;\ncoroutines within ~8% / "
                  "~9%.\n";
     return obs_opts.finalize();
+} catch (const SimFatal &) { // fatal() already said why, on one line
+    return 2;
 }

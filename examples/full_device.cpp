@@ -33,7 +33,7 @@ using namespace babol;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string flavor = "coro";
     obs::cli::Options obs_opts;
     for (int i = 1; i < argc; ++i) {
@@ -42,8 +42,9 @@ main(int argc, char **argv)
         if (argv[i][0] != '-')
             flavor = argv[i];
         else
-            fatal("usage: full_device [%s] %s", core::kFlavorChoices,
-                  obs::cli::Options::usage());
+            fatal("'%s' is not a flag here, or lacks its value; usage: "
+                  "full_device [%s] %s",
+                  argv[i], core::kFlavorChoices, obs::cli::Options::usage());
     }
     obs_opts.applyStartup();
 
@@ -173,4 +174,6 @@ main(int argc, char **argv)
     if (verify_errors != 0 || failures != 0)
         return 1;
     return obs_status;
+} catch (const SimFatal &) { // fatal() already said why, on one line
+    return 2;
 }
