@@ -3,7 +3,7 @@
 print and write.
 
     python3 tests/golden/golden.py check NAME --build-dir DIR
-    python3 tests/golden/golden.py regen --build-dir DIR [-j N] [NAME...]
+    python3 tests/golden/golden.py regen --build-dir DIR [-j N]
 
 manifest.txt lists one entry per command line. The hand-written lines of
 an entry are `entry NAME`, any `input PATH` (a file of the source tree,
@@ -16,9 +16,8 @@ Each entry runs in a fresh DIR/golden/NAME with relative paths, so no
 absolute path can reach an output, and with every BABOL_* variable
 removed from the environment, so the command line alone decides what
 runs. `check` runs one entry and exits 1 when anything moved, leaving
-the outputs in its run directory for a diff. `regen` reruns the entries
-(all of them, or the NAMEs given), rewrites their generated lines, and
-names every entry that moved.
+the outputs in its run directory for a diff. `regen` reruns every
+entry, rewrites the generated lines, and names every entry that moved.
 """
 
 import argparse
@@ -134,16 +133,11 @@ def check(args):
 
 def regen(args):
     header, entries = read_manifest()
-    chosen = [e for e in entries if not args.names or e.name in args.names]
-    unknown = set(args.names) - {e.name for e in entries}
-    if unknown:
-        sys.exit(f"golden: no entry named {', '.join(sorted(unknown))}")
-
     with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
         results = list(pool.map(lambda e: run_entry(e, args.build_dir),
-                                chosen))
+                                entries))
     moved = 0
-    for entry, got in zip(chosen, results):
+    for entry, got in zip(entries, results):
         if got != entry.recorded:
             moved += 1
             print(f"moved: {entry.name}" if entry.recorded
@@ -160,7 +154,7 @@ def regen(args):
             f.write(f"  run {' '.join(e.argv)}\n")
             for line in e.recorded:
                 f.write(f"  {line}\n")
-    print(f"{len(chosen)} entries run, {moved} moved; wrote {MANIFEST}")
+    print(f"{len(entries)} entries run, {moved} moved; wrote {MANIFEST}")
     return 0
 
 
@@ -170,8 +164,7 @@ def main():
     c = sub.add_parser("check", help="run one entry against the manifest")
     c.add_argument("name")
     c.add_argument("--build-dir", required=True)
-    r = sub.add_parser("regen", help="rerun entries and rewrite the manifest")
-    r.add_argument("names", nargs="*")
+    r = sub.add_parser("regen", help="rerun all entries, rewrite the manifest")
     r.add_argument("--build-dir", required=True)
     r.add_argument("-j", "--jobs", type=int, default=2)
     args = ap.parse_args()
