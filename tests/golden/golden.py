@@ -3,7 +3,7 @@
 print and write.
 
     python3 tests/golden/golden.py check NAME --build-dir DIR
-    python3 tests/golden/golden.py regen --build-dir DIR [-j N]
+    python3 tests/golden/golden.py regen --build-dir DIR
 
 manifest.txt lists one entry per command line. The hand-written lines of
 an entry are `entry NAME`, any `input PATH` (a file of the source tree,
@@ -17,7 +17,8 @@ absolute path can reach an output, and with every BABOL_* variable
 removed from the environment, so the command line alone decides what
 runs. `check` runs one entry and exits 1 when anything moved, leaving
 the outputs in its run directory for a diff. `regen` reruns every
-entry, rewrites the generated lines, and names every entry that moved.
+entry, one per CPU at a time, rewrites the generated lines, and names
+every entry that moved.
 """
 
 import argparse
@@ -133,7 +134,7 @@ def check(args):
 
 def regen(args):
     header, entries = read_manifest()
-    with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+    with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
         results = list(pool.map(lambda e: run_entry(e, args.build_dir),
                                 entries))
     moved = 0
@@ -166,7 +167,6 @@ def main():
     c.add_argument("--build-dir", required=True)
     r = sub.add_parser("regen", help="rerun all entries, rewrite the manifest")
     r.add_argument("--build-dir", required=True)
-    r.add_argument("-j", "--jobs", type=int, default=2)
     args = ap.parse_args()
     return check(args) if args.mode == "check" else regen(args)
 
