@@ -15,11 +15,6 @@ ParallelEngine::ParallelEngine(std::uint32_t shards, Tick lookahead)
     for (std::uint32_t s = 0; s < shards; ++s)
         shards_.push_back(std::make_unique<ShardState>());
     links_.resize(std::size_t(shards) * shards);
-    for (std::uint32_t from = 0; from < shards; ++from)
-        for (std::uint32_t to = 0; to < shards; ++to)
-            if (from != to)
-                links_[std::size_t(from) * shards + to] =
-                    std::make_unique<ShardLink<Msg>>();
 }
 
 ParallelEngine::~ParallelEngine() = default;
@@ -40,26 +35,15 @@ ParallelEngine::setShardHooks(std::uint32_t shard, Fn enter, Fn leave)
 }
 
 void
-ParallelEngine::setEpochHook(std::uint64_t windows, Fn fn)
+ParallelEngine::setEpochHook(Fn fn)
 {
-    epochEvery_ = windows;
     epochHook_ = std::move(fn);
 }
 
-ShardLink<ParallelEngine::Msg> &
+std::vector<ParallelEngine::Msg> &
 ParallelEngine::link(std::uint32_t from, std::uint32_t to)
 {
-    return *links_[std::size_t(from) * shardCount_ + to];
-}
-
-std::uint64_t
-ParallelEngine::maxLinkOverflowHighWater() const
-{
-    std::uint64_t hw = 0;
-    for (const auto &l : links_)
-        if (l) // self-links are never created
-            hw = std::max(hw, l->overflowHighWater());
-    return hw;
+    return links_[std::size_t(from) * shardCount_ + to];
 }
 
 void
@@ -74,7 +58,7 @@ ParallelEngine::post(std::uint32_t from, std::uint32_t to, Tick when, Fn fn)
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(senderNow),
                  static_cast<unsigned long long>(lookahead_));
-    link(from, to).post(Msg{when, std::move(fn)});
+    link(from, to).push_back(Msg{when, std::move(fn)});
     messages_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -85,11 +69,10 @@ ParallelEngine::drainInbox(std::uint32_t shard)
     // numbering of same-tick messages) is independent of thread count.
     EventQueue &q = shards_[shard]->queue;
     for (std::uint32_t from = 0; from < shardCount_; ++from) {
-        if (from == shard)
-            continue;
-        link(from, shard).drain([&q](Msg &&m) {
+        std::vector<Msg> &in = link(from, shard);
+        for (Msg &m : in)
             q.schedule(m.when, std::move(m.fn), "xshard");
-        });
+        in.clear();
     }
 }
 
@@ -117,32 +100,11 @@ ParallelEngine::onBarrier()
         // deterministic merges.
         if (abort_.load(std::memory_order_relaxed))
             done_ = true;
-        if (epochHook_ && epochEvery_ && windows_ % epochEvery_ == 0)
+        if (epochHook_ && windows_ % kEpochWindows == 0)
             epochHook_();
         phase_ = 0;
     }
 }
-
-namespace {
-
-/** Shards owned by thread @p tid under the fixed s-mod-T mapping. */
-struct OwnedShards
-{
-    std::uint32_t tid, threads, count;
-
-    struct Iter
-    {
-        std::uint32_t s, step;
-        std::uint32_t operator*() const { return s; }
-        Iter &operator++() { s += step; return *this; }
-        bool operator!=(const Iter &o) const { return s < o.s; }
-    };
-
-    Iter begin() const { return {tid, threads}; }
-    Iter end() const { return {count, threads}; }
-};
-
-} // namespace
 
 std::uint64_t
 ParallelEngine::run(std::uint32_t threads, Tick until)
@@ -159,10 +121,10 @@ ParallelEngine::run(std::uint32_t threads, Tick until)
 
     std::vector<std::uint64_t> fired(threads, 0);
 
+    // Thread tid owns shards tid, tid + T, tid + 2T, ... (s mod T).
     auto body = [&](std::uint32_t tid) {
-        const OwnedShards mine{tid, threads, shardCount_};
         for (;;) {
-            for (std::uint32_t s : mine) {
+            for (std::uint32_t s = tid; s < shardCount_; s += threads) {
                 try {
                     drainInbox(s);
                     shards_[s]->nextTime = shards_[s]->queue.nextEventTime();
@@ -174,7 +136,7 @@ ParallelEngine::run(std::uint32_t threads, Tick until)
             sync.arrive_and_wait();
             if (done_)
                 break;
-            for (std::uint32_t s : mine) {
+            for (std::uint32_t s = tid; s < shardCount_; s += threads) {
                 ShardState &st = *shards_[s];
                 if (st.enter)
                     st.enter();

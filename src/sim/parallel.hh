@@ -14,13 +14,20 @@
  * Execution alternates two barrier-separated phases per window:
  *
  *   sync phase:  each thread drains the inbound links of its shards
- *                (scheduling delivered messages into the shard queue)
- *                and reports the shard's next event time. The barrier
+ *                (scheduling delivered messages into the shard queue,
+ *                in fixed sender order) and reports the shard's next
+ *                event time. The barrier
  *                completion computes the global bound B = min over
  *                shards and the window edge  limit = B + L - 1,  where
  *                L is the lookahead.
  *   run phase:   each shard independently fires every event with
  *                when <= limit, then arrives at the barrier again.
+ *
+ * A link is a plain vector per ordered shard pair. Only the sender's
+ * thread appends to it, and only in a run phase (or before run()); only
+ * the receiver's thread reads and clears it, and only in a sync phase.
+ * The barrier between the phases orders every access, so a link needs
+ * no atomics, no lock and no capacity.
  *
  * Cross-shard sends (ParallelEngine::post) must carry a delivery time at
  * least L past the sender's clock; since the sender's clock is <= limit
@@ -48,7 +55,6 @@
 #include <vector>
 
 #include "event_queue.hh"
-#include "spsc_ring.hh"
 #include "types.hh"
 
 namespace babol::sim {
@@ -82,11 +88,22 @@ class ParallelEngine
     void setShardHooks(std::uint32_t shard, Fn enter, Fn leave);
 
     /**
+     * Windows between two epoch-hook calls. The hook runs in the
+     * barrier while every worker waits, so it is spaced out rather than
+     * run each window; yet 64 windows hold far fewer trace records than
+     * a shard's trace ring (at most 146 per shard in fig12_end_to_end
+     * --quick --threads 2, against 2^18), so a merge never finds one
+     * overwritten. Records sort within one merge only, so this value
+     * also fixes the record order of a traced sharded run.
+     */
+    static constexpr std::uint64_t kEpochWindows = 64;
+
+    /**
      * Run @p fn with all worker threads quiesced at the window barrier,
-     * every @p windows windows and once after the final window. Used
+     * every kEpochWindows windows and once after the final window. Used
      * for deterministic epoch merges of per-shard trace buffers.
      */
-    void setEpochHook(std::uint64_t windows, Fn fn);
+    void setEpochHook(Fn fn);
 
     /**
      * Send @p fn to run on shard @p to at absolute time @p when. Must
@@ -108,17 +125,8 @@ class ParallelEngine
     /** Windows executed by the last / current run(). */
     std::uint64_t windowCount() const { return windows_; }
 
-    /** Messages delivered across shard links (all links, lifetime). */
+    /** Messages posted across shard links (all links, lifetime). */
     std::uint64_t crossShardMessages() const { return messages_; }
-
-    /**
-     * Deepest overflow backlog any cross-shard link ever reached: how
-     * far past its lock-free ring a link spilled into the mutex-guarded
-     * overflow list. Zero means every message fit the rings; sustained
-     * positives mean the rings are undersized for the traffic. Call at
-     * quiesced points (between runs, or from an epoch hook).
-     */
-    std::uint64_t maxLinkOverflowHighWater() const;
 
   private:
     struct Msg
@@ -135,19 +143,16 @@ class ParallelEngine
         std::exception_ptr error;
     };
 
-    ShardLink<Msg> &link(std::uint32_t from, std::uint32_t to);
+    std::vector<Msg> &link(std::uint32_t from, std::uint32_t to);
     void drainInbox(std::uint32_t shard);
-    void workerLoop(std::uint32_t tid, std::uint32_t threads,
-                    std::uint64_t &fired);
     void onBarrier();
 
     std::uint32_t shardCount_;
     Tick lookahead_;
     std::vector<std::unique_ptr<ShardState>> shards_;
-    std::vector<std::unique_ptr<ShardLink<Msg>>> links_; // from*K + to
+    std::vector<std::vector<Msg>> links_; // from*K + to; self-links unused
 
     Fn epochHook_;
-    std::uint64_t epochEvery_ = 0;
 
     // Window-loop state: written only by the barrier completion (or
     // before/after the run), read by workers after the barrier.

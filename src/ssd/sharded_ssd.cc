@@ -37,15 +37,13 @@ ShardedSsd::ShardedSsd(const std::string &name, SsdConfig cfg)
 
     // Deterministic epoch merge of the per-shard trace rings into the
     // hub's main recorder (and once more after the final window).
-    engine_.setEpochHook(64, [this] { mergeTraces(); });
+    engine_.setEpochHook([this] { mergeTraces(); });
 
-    // Engine health for --metrics-out: how hard the cross-shard rings
-    // are being pushed, next to the traffic that pushed them.
+    // Engine health for --metrics-out: the cross-shard traffic and the
+    // windows it was carried over.
     metrics_.value("cross_shard_messages",
                    [this] { return engine_.crossShardMessages(); });
     metrics_.value("windows", [this] { return engine_.windowCount(); });
-    metrics_.value("link_overflow_high_water",
-                   [this] { return engine_.maxLinkOverflowHighWater(); });
 }
 
 void

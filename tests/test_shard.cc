@@ -1,15 +1,16 @@
 /**
  * @file
- * The sharded engine's contract tests: SPSC link FIFO (with overflow),
- * conservative-lookahead windowing determinism at any thread count,
- * stale-handle safety across shard boundaries, classic-vs-sharded
- * device equivalence, byte-identical traces and metrics at 1/2/4
- * worker threads on the seeded Fig. 12 workload, and fleet-member
- * isolation.
+ * The sharded engine's contract tests: conservative-lookahead
+ * windowing determinism at any thread count (with per-link FIFO kept
+ * through a same-tick burst), stale-handle safety across shard
+ * boundaries, classic-vs-sharded device equivalence, byte-identical
+ * traces and metrics at 1/2/4 worker threads on the seeded Fig. 12
+ * workload, and fleet-member isolation.
  */
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -19,53 +20,10 @@
 #include "obs/hub.hh"
 #include "sim/fleet.hh"
 #include "sim/parallel.hh"
-#include "sim/spsc_ring.hh"
 #include "ssd/sharded_ssd.hh"
 #include "ssd/ssd.hh"
 
 using namespace babol;
-
-// ---------------------------------------------------------------------
-// SPSC ring and shard link
-// ---------------------------------------------------------------------
-
-TEST(SpscRing, FifoUntilFullThenRejects)
-{
-    sim::SpscRing<int> ring(4);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(ring.push(int(i)));
-    EXPECT_FALSE(ring.push(99)) << "full ring must reject";
-    int v = -1;
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.pop(v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_FALSE(ring.pop(v)) << "empty ring must reject";
-    // Space freed: the indices wrap without losing order.
-    EXPECT_TRUE(ring.push(7));
-    ASSERT_TRUE(ring.pop(v));
-    EXPECT_EQ(v, 7);
-}
-
-TEST(ShardLink, OverflowBurstPreservesPerLinkFifo)
-{
-    sim::ShardLink<int> link(4); // tiny ring: 16 of 20 posts overflow
-    for (int i = 0; i < 20; ++i)
-        link.post(int(i));
-    std::vector<int> got;
-    link.drain([&](int v) { got.push_back(v); });
-    ASSERT_EQ(got.size(), 20u);
-    for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(got[i], i);
-    EXPECT_GE(link.overflowHighWater(), 16u);
-
-    // After a drain the link accepts a fresh burst in order again.
-    link.post(100);
-    link.post(101);
-    got.clear();
-    link.drain([&](int v) { got.push_back(v); });
-    EXPECT_EQ(got, (std::vector<int>{100, 101}));
-}
 
 // ---------------------------------------------------------------------
 // ParallelEngine: windowed execution, thread-count invariance
@@ -73,15 +31,31 @@ TEST(ShardLink, OverflowBurstPreservesPerLinkFifo)
 
 namespace {
 
+/** Messages shard 0 posts to shard 1 for one tick: more than the
+ *  1024 slots a fixed-capacity link would hold. */
+constexpr int kBurst = 1500;
+
 /** A 3-shard model where shards 1 and 2 run local ticks and exchange
- *  cross-shard messages; every shard logs (time, tag) into its own
- *  vector, so the merged logs expose any ordering difference. */
+ *  cross-shard messages, and shard 0 sends shard 1 a same-tick burst;
+ *  every shard logs (time, tag) into its own vector, so the merged
+ *  logs expose any ordering difference. */
 std::vector<std::vector<std::pair<Tick, int>>>
 runPingPong(std::uint32_t threads)
 {
     const Tick L = 100;
     sim::ParallelEngine pe(3, L);
     std::vector<std::vector<std::pair<Tick, int>>> log(3);
+
+    pe.queue(0).scheduleIn(
+        250,
+        [&log, &pe, L] {
+            const Tick at = pe.queue(0).now() + L;
+            for (int i = 0; i < kBurst; ++i)
+                pe.post(0, 1, at, [&log, &pe, i] {
+                    log[1].emplace_back(pe.queue(1).now(), -1 - i);
+                });
+        },
+        "burst");
 
     for (std::uint32_t s = 1; s <= 2; ++s) {
         for (int i = 0; i < 50; ++i) {
@@ -104,8 +78,18 @@ runPingPong(std::uint32_t threads)
         }
     }
     const std::uint64_t fired = pe.run(threads);
-    EXPECT_GT(fired, 100u);
-    EXPECT_EQ(pe.crossShardMessages(), 20u);
+    EXPECT_GT(fired, 100u + kBurst);
+    EXPECT_EQ(pe.crossShardMessages(), 20u + kBurst);
+
+    // The burst arrives whole, at one tick, in the order it was posted.
+    std::vector<int> burst, posted(kBurst);
+    std::iota(posted.begin(), posted.end(), 0);
+    for (const auto &[when, tag] : log[1])
+        if (tag < 0) {
+            EXPECT_EQ(when, 250 + L);
+            burst.push_back(-1 - tag);
+        }
+    EXPECT_EQ(burst, posted);
     return log;
 }
 
