@@ -57,7 +57,8 @@ scenarioOp(OpEnv &env, bool is_erase, bool use_suspend, Tick arrival)
                    .addr(encodeColRow(env.geo(), 0, {0, 1, 0})));
         pr.add(DataWriter{.dramAddr = 0,
                           .bytes = env.geo().pageDataBytes,
-                          .eccEncode = true});
+                          .eccEncode = true,
+                          .inlineData = {}});
         pr.add(CaWriter::command(opcode::kProgram2));
         co_await env.rt.submit(std::move(pr));
     }
