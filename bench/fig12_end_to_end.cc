@@ -91,6 +91,47 @@ runSsd(const std::string &flavor, std::uint32_t ways, bool random_pattern)
 }
 
 /**
+ * Build the sharded Fig. 12 device (@p channels x @p ways Hynix LUNs
+ * behind a page-mapped FTL), fill its extent, and return what
+ * @p measure(dev, ftl, extent) returns. Device, FTL and filler outlive
+ * the measurement and are torn down after it, device last.
+ */
+template <typename Measure>
+RunResult
+onFilledShardedSsd(const std::string &flavor, std::uint32_t channels,
+                   std::uint32_t ways, std::uint32_t threads,
+                   Measure &&measure)
+{
+    ssd::SsdConfig cfg;
+    cfg.channels = channels;
+    cfg.flavor = flavor;
+    cfg.channel.package = nand::hynixPackage();
+    cfg.channel.chips = ways;
+    cfg.channel.rateMT = 200;
+    cfg.channel.seed = 5;
+    cfg.cpuMhz = 1000;
+    ssd::ShardedSsd dev("ssd", cfg);
+
+    ftl::FtlConfig fcfg;
+    fcfg.blocksPerChip = 4;
+    fcfg.overprovision = 0.25;
+    ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
+
+    const std::uint64_t extent = 64ull * channels * ways;
+
+    host::FioConfig fill_cfg;
+    fill_cfg.queueDepth = 2 * channels * ways;
+    fill_cfg.dramBase = 0;
+    host::FioEngine filler(dev.hostQueue(), "fill", ftl, fill_cfg);
+    bool filled = false;
+    filler.fill(extent, [&] { filled = true; });
+    dev.run(threads);
+    babol_assert(filled, "fill never completed");
+
+    return measure(dev, ftl, extent);
+}
+
+/**
  * The same Fig. 12 workload on the channel-sharded multi-core engine:
  * a multi-channel device whose channels run on worker threads behind
  * the conservative-lookahead windows. The returned bandwidth is a pure
@@ -98,6 +139,38 @@ runSsd(const std::string &flavor, std::uint32_t ways, bool random_pattern)
  * CI scaling smoke checks by diffing this mode's output across thread
  * counts.
  */
+RunResult
+runShardedSsd(const std::string &flavor, std::uint32_t channels,
+              std::uint32_t ways, bool random_pattern,
+              std::uint32_t threads)
+{
+    return onFilledShardedSsd(
+        flavor, channels, ways, threads,
+        [&](ssd::ShardedSsd &dev, ftl::PageFtl &ftl, std::uint64_t extent) {
+            host::FioConfig cfg_io;
+            cfg_io.pattern = random_pattern
+                                 ? host::FioConfig::Pattern::Random
+                                 : host::FioConfig::Pattern::Sequential;
+            cfg_io.queueDepth = 32;
+            cfg_io.extentPages = extent;
+            cfg_io.totalIos = 300;
+            cfg_io.dramBase = 8 << 20;
+            cfg_io.seed = 99;
+            host::FioEngine engine(dev.hostQueue(), "fio", ftl, cfg_io);
+            auto &pm = obs::power::PowerModel::instance();
+            const std::uint64_t e0 =
+                pm.grandTotalFjAt(dev.hostQueue().now());
+            bool done = false;
+            engine.start([&] { done = true; });
+            dev.run(threads);
+            babol_assert(done && engine.errors() == 0, "fio run failed");
+            const std::uint64_t e1 =
+                pm.grandTotalFjAt(dev.hostQueue().now());
+            return RunResult{engine.bandwidthMBps(),
+                             njPerIoDelta(e0, e1, 300)};
+        });
+}
+
 /**
  * Fig. 12 through the NVMe-style queued front end: the same sharded
  * device, but the measured random-read workload reaches it via @p
@@ -111,116 +184,48 @@ runShardedNvme(const std::string &flavor, std::uint32_t channels,
                std::uint32_t ways, std::uint32_t qpairs,
                std::uint32_t threads)
 {
-    ssd::SsdConfig cfg;
-    cfg.channels = channels;
-    cfg.flavor = flavor;
-    cfg.channel.package = nand::hynixPackage();
-    cfg.channel.chips = ways;
-    cfg.channel.rateMT = 200;
-    cfg.channel.seed = 5;
-    cfg.cpuMhz = 1000;
-    ssd::ShardedSsd dev("ssd", cfg);
+    return onFilledShardedSsd(
+        flavor, channels, ways, threads,
+        [&](ssd::ShardedSsd &dev, ftl::PageFtl &ftl, std::uint64_t extent) {
+            host::HicConfig hcfg;
+            hcfg.maxInflight = 64;
+            host::Hic hic(dev.hostQueue(), "hic", ftl, hcfg);
 
-    ftl::FtlConfig fcfg;
-    fcfg.blocksPerChip = 4;
-    fcfg.overprovision = 0.25;
-    ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
+            host::nvme::NvmeConfig ncfg;
+            ncfg.queuePairs = qpairs;
+            ncfg.maxInflight = 64;
+            ncfg.dramBase = 1 << 20;
+            host::nvme::NvmeFrontEnd fe(dev.hostQueue(), "nvme", hic, ncfg);
 
-    const std::uint64_t extent = 64ull * channels * ways;
-
-    host::FioConfig fill_cfg;
-    fill_cfg.queueDepth = 2 * channels * ways;
-    fill_cfg.dramBase = 0;
-    host::FioEngine filler(dev.hostQueue(), "fill", ftl, fill_cfg);
-    bool filled = false;
-    filler.fill(extent, [&] { filled = true; });
-    dev.run(threads);
-    babol_assert(filled, "fill never completed");
-
-    host::HicConfig hcfg;
-    hcfg.maxInflight = 64;
-    host::Hic hic(dev.hostQueue(), "hic", ftl, hcfg);
-
-    host::nvme::NvmeConfig ncfg;
-    ncfg.queuePairs = qpairs;
-    ncfg.maxInflight = 64;
-    ncfg.dramBase = 1 << 20;
-    host::nvme::NvmeFrontEnd fe(dev.hostQueue(), "nvme", hic, ncfg);
-
-    // One client striped across every queue pair, matching the direct
-    // path's depth-32 random READ workload. LBAs stay inside the
-    // preconditioned extent.
-    obs::MetricsRegistry reg;
-    host::nvme::TenantConfig tcfg;
-    tcfg.seed = 99;
-    tcfg.queueDepth = 32;
-    tcfg.totalIos = 300;
-    tcfg.sectors = hic.sectorsPerPage(); // page-sized, like FioEngine
-    tcfg.dramBase = 8 << 20;
-    tcfg.lbaSpan = extent * hic.sectorsPerPage();
-    host::nvme::TenantClient client(dev.hostQueue(), "fig12", fe, reg,
-                                    tcfg);
-    auto &pm = obs::power::PowerModel::instance();
-    const Tick start = dev.hostQueue().now();
-    const std::uint64_t e0 = pm.grandTotalFjAt(start);
-    bool done = false;
-    client.start([&] { done = true; });
-    dev.run(threads);
-    babol_assert(done && client.errors() == 0, "nvme fio run failed");
-    const Tick elapsed = dev.hostQueue().now() - start;
-    const std::uint64_t e1 = pm.grandTotalFjAt(dev.hostQueue().now());
-    const std::uint64_t bytes = 300ull * tcfg.sectors * hic.sectorBytes();
-    return {bandwidthMBps(bytes, elapsed), njPerIoDelta(e0, e1, 300)};
-}
-
-RunResult
-runShardedSsd(const std::string &flavor, std::uint32_t channels,
-              std::uint32_t ways, bool random_pattern,
-              std::uint32_t threads)
-{
-    ssd::SsdConfig cfg;
-    cfg.channels = channels;
-    cfg.flavor = flavor;
-    cfg.channel.package = nand::hynixPackage();
-    cfg.channel.chips = ways;
-    cfg.channel.rateMT = 200;
-    cfg.channel.seed = 5;
-    cfg.cpuMhz = 1000;
-    ssd::ShardedSsd dev("ssd", cfg);
-
-    ftl::FtlConfig fcfg;
-    fcfg.blocksPerChip = 4;
-    fcfg.overprovision = 0.25;
-    ftl::PageFtl ftl(dev.hostQueue(), "ftl", dev, fcfg);
-
-    const std::uint64_t extent = 64ull * channels * ways;
-
-    host::FioConfig fill_cfg;
-    fill_cfg.queueDepth = 2 * channels * ways;
-    fill_cfg.dramBase = 0;
-    host::FioEngine filler(dev.hostQueue(), "fill", ftl, fill_cfg);
-    bool filled = false;
-    filler.fill(extent, [&] { filled = true; });
-    dev.run(threads);
-    babol_assert(filled, "fill never completed");
-
-    host::FioConfig cfg_io;
-    cfg_io.pattern = random_pattern ? host::FioConfig::Pattern::Random
-                                    : host::FioConfig::Pattern::Sequential;
-    cfg_io.queueDepth = 32;
-    cfg_io.extentPages = extent;
-    cfg_io.totalIos = 300;
-    cfg_io.dramBase = 8 << 20;
-    cfg_io.seed = 99;
-    host::FioEngine engine(dev.hostQueue(), "fio", ftl, cfg_io);
-    auto &pm = obs::power::PowerModel::instance();
-    const std::uint64_t e0 = pm.grandTotalFjAt(dev.hostQueue().now());
-    bool done = false;
-    engine.start([&] { done = true; });
-    dev.run(threads);
-    babol_assert(done && engine.errors() == 0, "fio run failed");
-    const std::uint64_t e1 = pm.grandTotalFjAt(dev.hostQueue().now());
-    return {engine.bandwidthMBps(), njPerIoDelta(e0, e1, 300)};
+            // One client striped across every queue pair, matching the
+            // direct path's depth-32 random READ workload. LBAs stay
+            // inside the preconditioned extent.
+            obs::MetricsRegistry reg;
+            host::nvme::TenantConfig tcfg;
+            tcfg.seed = 99;
+            tcfg.queueDepth = 32;
+            tcfg.totalIos = 300;
+            tcfg.sectors = hic.sectorsPerPage(); // page-sized, like FioEngine
+            tcfg.dramBase = 8 << 20;
+            tcfg.lbaSpan = extent * hic.sectorsPerPage();
+            host::nvme::TenantClient client(dev.hostQueue(), "fig12", fe,
+                                            reg, tcfg);
+            auto &pm = obs::power::PowerModel::instance();
+            const Tick start = dev.hostQueue().now();
+            const std::uint64_t e0 = pm.grandTotalFjAt(start);
+            bool done = false;
+            client.start([&] { done = true; });
+            dev.run(threads);
+            babol_assert(done && client.errors() == 0,
+                         "nvme fio run failed");
+            const Tick elapsed = dev.hostQueue().now() - start;
+            const std::uint64_t e1 =
+                pm.grandTotalFjAt(dev.hostQueue().now());
+            const std::uint64_t bytes =
+                300ull * tcfg.sectors * hic.sectorBytes();
+            return RunResult{bandwidthMBps(bytes, elapsed),
+                             njPerIoDelta(e0, e1, 300)};
+        });
 }
 
 } // namespace
