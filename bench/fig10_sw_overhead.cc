@@ -23,9 +23,10 @@ using namespace babol::bench;
 
 namespace {
 
+/** One channel READ run; its metrics snapshot goes into @p obs. */
 ChannelRunResult
-run(nand::Vendor vendor, std::uint32_t rate_mt, const std::string &flavor,
-    std::uint32_t cpu_mhz, std::uint32_t luns)
+run(obs::cli::Options &obs, nand::Vendor vendor, std::uint32_t rate_mt,
+    const std::string &flavor, std::uint32_t cpu_mhz, std::uint32_t luns)
 {
     EventQueue eq;
     ChannelConfig cfg;
@@ -35,7 +36,10 @@ run(nand::Vendor vendor, std::uint32_t rate_mt, const std::string &flavor,
     cfg.seed = 17;
     ChannelSystem sys(eq, "ssd", cfg);
     auto ctrl = makeController(flavor, eq, sys, cpu_mhz);
-    return runChannelReadWorkload(eq, sys, *ctrl, luns, 30);
+    const ChannelRunResult r =
+        runChannelReadWorkload(eq, sys, *ctrl, luns, 30);
+    obs.captureMetrics(eq);
+    return r;
 }
 
 } // namespace
@@ -87,7 +91,8 @@ try {
                 std::vector<std::string> row = {"hw (baseline)", "-"};
                 for (std::uint32_t luns : lun_counts)
                     row.push_back(Table::num(
-                        run(vendor, rate, "hw", 1000, luns).mbps, 1));
+                        run(obs_opts, vendor, rate, "hw", 1000, luns).mbps,
+                        1));
                 table.addRow(std::move(row));
             }
 
@@ -98,7 +103,8 @@ try {
                         strfmt("%u MHz%s", mhz, mhz == 150 ? "*" : "")};
                     for (std::uint32_t luns : lun_counts)
                         row.push_back(Table::num(
-                            run(vendor, rate, flavor, mhz, luns).mbps,
+                            run(obs_opts, vendor, rate, flavor, mhz, luns)
+                                .mbps,
                             1));
                     table.addRow(std::move(row));
                 }

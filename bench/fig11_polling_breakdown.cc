@@ -32,8 +32,9 @@ struct PollingReport
     std::string timeline;
 };
 
+/** One single-LUN READ; its metrics snapshot goes into @p obs. */
 PollingReport
-measure(const std::string &flavor)
+measure(obs::cli::Options &obs, const std::string &flavor)
 {
     EventQueue eq;
     ChannelConfig cfg;
@@ -101,6 +102,7 @@ measure(const std::string &flavor)
         report.detectionDelayUs =
             ticks::toUs(xfer.front().start - array_ready);
     }
+    obs.captureMetrics(eq);
     return report;
 }
 
@@ -124,8 +126,8 @@ try {
     Table table({"Stack", "Polls", "Poll period (us)", "min/max (us)",
                  "Detect delay (us)", "Op latency (us)"});
 
-    PollingReport rtos = measure("rtos");
-    PollingReport coro = measure("coro");
+    PollingReport rtos = measure(obs_opts, "rtos");
+    PollingReport coro = measure(obs_opts, "coro");
 
     table.addRow({"RTOS", strfmt("%zu", rtos.polls),
                   Table::num(rtos.meanPeriodUs, 1),

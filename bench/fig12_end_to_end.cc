@@ -41,8 +41,14 @@ njPerIoDelta(std::uint64_t e0_fj, std::uint64_t e1_fj, std::uint64_t ios)
            static_cast<double>(ios) / 1e6;
 }
 
+/**
+ * Fig. 12 on the classic single-queue engine: one channel of @p ways
+ * LUNs, preconditioned, then 300 reads. Snapshots the metrics into
+ * @p obs once the measured phase is done.
+ */
 RunResult
-runSsd(const std::string &flavor, std::uint32_t ways, bool random_pattern)
+runSsd(obs::cli::Options &obs, const std::string &flavor,
+       std::uint32_t ways, bool random_pattern)
 {
     EventQueue eq;
     ChannelConfig cfg;
@@ -87,6 +93,7 @@ runSsd(const std::string &flavor, std::uint32_t ways, bool random_pattern)
     eq.run();
     babol_assert(done && engine.errors() == 0, "fio run failed");
     const std::uint64_t e1 = pm.grandTotalFjAt(eq.now());
+    obs.captureMetrics(eq);
     return {engine.bandwidthMBps(), njPerIoDelta(e0, e1, 300)};
 }
 
@@ -140,9 +147,9 @@ onFilledShardedSsd(const std::string &flavor, std::uint32_t channels,
  * counts.
  */
 RunResult
-runShardedSsd(const std::string &flavor, std::uint32_t channels,
-              std::uint32_t ways, bool random_pattern,
-              std::uint32_t threads)
+runShardedSsd(obs::cli::Options &obs, const std::string &flavor,
+              std::uint32_t channels, std::uint32_t ways,
+              bool random_pattern, std::uint32_t threads)
 {
     return onFilledShardedSsd(
         flavor, channels, ways, threads,
@@ -166,6 +173,7 @@ runShardedSsd(const std::string &flavor, std::uint32_t channels,
             babol_assert(done && engine.errors() == 0, "fio run failed");
             const std::uint64_t e1 =
                 pm.grandTotalFjAt(dev.hostQueue().now());
+            obs.captureMetrics(dev.hostQueue());
             return RunResult{engine.bandwidthMBps(),
                              njPerIoDelta(e0, e1, 300)};
         });
@@ -180,9 +188,9 @@ runShardedSsd(const std::string &flavor, std::uint32_t channels,
  * numbers. Byte-identical at any @p threads.
  */
 RunResult
-runShardedNvme(const std::string &flavor, std::uint32_t channels,
-               std::uint32_t ways, std::uint32_t qpairs,
-               std::uint32_t threads)
+runShardedNvme(obs::cli::Options &obs, const std::string &flavor,
+               std::uint32_t channels, std::uint32_t ways,
+               std::uint32_t qpairs, std::uint32_t threads)
 {
     return onFilledShardedSsd(
         flavor, channels, ways, threads,
@@ -223,6 +231,7 @@ runShardedNvme(const std::string &flavor, std::uint32_t channels,
                 pm.grandTotalFjAt(dev.hostQueue().now());
             const std::uint64_t bytes =
                 300ull * tcfg.sectors * hic.sectorBytes();
+            obs.captureMetrics(dev.hostQueue());
             return RunResult{bandwidthMBps(bytes, elapsed),
                              njPerIoDelta(e0, e1, 300)};
         });
@@ -285,9 +294,11 @@ try {
         Table table({"Controller", "direct", "queued", "nJ/IO (queued)"});
         for (std::string flavor : {"hw", "rtos", "coro"}) {
             RunResult direct =
-                runShardedSsd(flavor, channels, ways, true, threads);
+                runShardedSsd(obs_opts, flavor, channels, ways, true,
+                              threads);
             RunResult queued =
-                runShardedNvme(flavor, channels, ways, qpairs, threads);
+                runShardedNvme(obs_opts, flavor, channels, ways, qpairs,
+                               threads);
             table.addRow(
                 {flavor == "hw" ? "Cosmos+ baseline (hw)" : flavor,
                  Table::num(direct.mbps, 1), Table::num(queued.mbps, 1),
@@ -312,9 +323,11 @@ try {
                      "nJ/IO (rand)"});
         for (std::string flavor : {"hw", "rtos", "coro"}) {
             RunResult seq =
-                runShardedSsd(flavor, channels, ways, false, threads);
+                runShardedSsd(obs_opts, flavor, channels, ways, false,
+                              threads);
             RunResult rnd =
-                runShardedSsd(flavor, channels, ways, true, threads);
+                runShardedSsd(obs_opts, flavor, channels, ways, true,
+                              threads);
             table.addRow(
                 {flavor == "hw" ? "Cosmos+ baseline (hw)" : flavor,
                  Table::num(seq.mbps, 1), Table::num(rnd.mbps, 1),
@@ -353,7 +366,8 @@ try {
                 flavor == "hw" ? "Cosmos+ baseline (hw)" : flavor};
             std::vector<RunResult> series;
             for (std::uint32_t ways : ways_list)
-                series.push_back(runSsd(flavor, ways, random_pattern));
+                series.push_back(
+                    runSsd(obs_opts, flavor, ways, random_pattern));
             for (const RunResult &r : series)
                 row.push_back(Table::num(r.mbps, 1));
             if (flavor == "hw") {

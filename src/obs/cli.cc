@@ -118,13 +118,11 @@ Options::finalize() const
     }
 
     if (!metricsOut.empty()) {
+        babol_assert(snapshot_, "--metrics-out without captureMetrics()");
         std::ofstream out(metricsOut);
         if (!out)
             fatal("cannot open %s", metricsOut.c_str());
-        if (snapshot_)
-            MetricsRegistry::writeJson(out, *snapshot_);
-        else
-            metrics().writeJson(out);
+        MetricsRegistry::writeJson(out, *snapshot_);
         std::printf("wrote metrics to %s\n", metricsOut.c_str());
     }
 

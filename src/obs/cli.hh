@@ -7,7 +7,8 @@
  *
  *   --trace-out FILE    write a Perfetto (Chrome trace_event) JSON of
  *                       the trace ring at exit
- *   --metrics-out FILE  dump the central metrics registry as JSON
+ *   --metrics-out FILE  write the last simulated run's metrics snapshot
+ *                       as JSON
  *   --audit[=FILE]      arm the conformance auditor in collector mode;
  *                       the report goes to stdout (or FILE, which must
  *                       not be empty) at exit and
@@ -84,8 +85,10 @@ struct Options
 
     /**
      * Snapshot the metrics registry (with the kernel group of @p eq
-     * registered) while the run's objects are still alive — harnesses
-     * that build per-run simulations must call this before teardown.
+     * registered) while the run's objects are still alive. Every
+     * harness that accepts --metrics-out calls this at the end of each
+     * simulated run, before teardown; the last snapshot is the one
+     * written.
      */
     void captureMetrics(const EventQueue &eq);
 
@@ -93,7 +96,8 @@ struct Options
      * Write the requested outputs: perfetto JSON, metrics JSON, and —
      * when auditing — the end-of-run conservation pass plus the
      * diagnostics report. Returns the suggested process exit status
-     * (1 when the audit collected diagnostics, else 0).
+     * (1 when the audit collected diagnostics, else 0). Panics when
+     * --metrics-out was given but nothing was captured.
      */
     int finalize() const;
 
