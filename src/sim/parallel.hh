@@ -16,10 +16,9 @@
  *   sync phase:  each thread drains the inbound links of its shards
  *                (scheduling delivered messages into the shard queue,
  *                in fixed sender order) and reports the shard's next
- *                event time. The barrier
- *                completion computes the global bound B = min over
- *                shards and the window edge  limit = B + L - 1,  where
- *                L is the lookahead.
+ *                event time. The barrier completion computes the
+ *                global bound B = min over shards and the window edge
+ *                limit = B + L - 1,  where L is the lookahead.
  *   run phase:   each shard independently fires every event with
  *                when <= limit, then arrives at the barrier again.
  *
@@ -88,20 +87,9 @@ class ParallelEngine
     void setShardHooks(std::uint32_t shard, Fn enter, Fn leave);
 
     /**
-     * Windows between two epoch-hook calls. The hook runs in the
-     * barrier while every worker waits, so it is spaced out rather than
-     * run each window; yet 64 windows hold far fewer trace records than
-     * a shard's trace ring (at most 146 per shard in fig12_end_to_end
-     * --quick --threads 2, against 2^18), so a merge never finds one
-     * overwritten. Records sort within one merge only, so this value
-     * also fixes the record order of a traced sharded run.
-     */
-    static constexpr std::uint64_t kEpochWindows = 64;
-
-    /**
      * Run @p fn with all worker threads quiesced at the window barrier,
-     * every kEpochWindows windows and once after the final window. Used
-     * for deterministic epoch merges of per-shard trace buffers.
+     * every kEpochWindows (64) windows and once after the final window.
+     * Used for deterministic epoch merges of per-shard trace buffers.
      */
     void setEpochHook(Fn fn);
 
@@ -129,6 +117,17 @@ class ParallelEngine
     std::uint64_t crossShardMessages() const { return messages_; }
 
   private:
+    /**
+     * Windows between two epoch-hook calls. The hook runs in the
+     * barrier while every worker waits, so it is spaced out rather than
+     * run each window; yet 64 windows hold far fewer trace records than
+     * a shard's trace ring (at most 146 per shard in fig12_end_to_end
+     * --quick --threads 2, against 2^18), so no record is overwritten
+     * before its merge. Records sort within one merge only, so this
+     * value also fixes the record order of a traced sharded run.
+     */
+    static constexpr std::uint64_t kEpochWindows = 64;
+
     struct Msg
     {
         Tick when = 0;
