@@ -7,16 +7,18 @@
 # where a stale index or double release would otherwise corrupt silently.
 #
 # The TSan pass (-DBABOL_TSAN=ON) covers the sharded multi-core engine:
-# the tier-1 suite plus the seeded fig12 workload on 4 worker threads,
-# so every cross-shard ring, barrier, and merged-trace path runs under
-# the race detector.
+# the tier-1 suite plus three seeded sharded runs on 4 worker threads
+# (fig12's direct FTL calls, its NVMe front end, and a RAIN rebuild
+# after a die kill), so every cross-shard link, barrier, and
+# merged-trace path runs under the race detector.
 #
 # Stages (all run when no flag is given; CI runs them as separate jobs):
 #   --plain-only   configure/build/ctest, default flags, then the golden
 #                  outputs (ctest -L golden: tests/golden/manifest.txt)
 #   --asan-only    configure/build/ctest with ASan + UBSan
 #   --tsan-only    configure/build/ctest with TSan + the sharded fig12
-#                  workload on 4 threads
+#                  workload (direct and NVMe) and a RAIN rebuild, each
+#                  on 4 threads
 #   --audit-only   BABOL_AUDIT=1 sanitizer sweep + fault campaigns and
 #                  power-capped runs on every controller flavour, plus
 #                  the sharded engine at 1/2/4 threads and the
@@ -83,9 +85,13 @@ stage_asan() {
 stage_tsan() {
     echo "=== tier-1: TSan ==="
     run_suite "$ROOT/build-tsan" -DBABOL_TSAN=ON
-    echo "=== tier-1: TSan sharded fig12 (4 threads) ==="
+    echo "=== tier-1: TSan sharded runs (4 threads) ==="
     "$ROOT/build-tsan/bench/fig12_end_to_end" --quick --threads 4 \
         >/dev/null
+    "$ROOT/build-tsan/bench/fig12_end_to_end" --quick --qpairs 2 \
+        --threads 4 >/dev/null
+    "$ROOT/build-tsan/examples/ssd_fio" coro --rain --scrub \
+        --diefail-at 200 --threads 4 >/dev/null
 }
 
 # ONFI conformance audit: the whole suite and the figure benches run
