@@ -4,11 +4,14 @@
  *
  * Pages are split into fixed-size codewords; each codeword's data is
  * followed by its parity in the spare area. Encoding stamps a checksum
- * into the parity region (an end-to-end integrity tripwire); decoding
- * "corrects" up to `correctBits` flipped bits per codeword using the
- * flash model's sideband flip list — the standard simulation stand-in
- * for a real BCH/LDPC decoder — and reports codewords whose error count
- * exceeds the capability, which is what triggers read-retry.
+ * into the parity region (an end-to-end integrity tripwire, not a real
+ * code: its 4 bytes never reach any output); decoding "corrects" up to
+ * `correctBits` flipped bits per codeword using the flash model's
+ * sideband flip list — the standard simulation stand-in for a real
+ * BCH/LDPC decoder — and reports codewords whose error count exceeds
+ * the capability, which is what triggers read-retry. The checksum still
+ * runs over every codeword, so raw-written pages and captures the
+ * sideband knows nothing about (phase skew) fail too.
  */
 
 #ifndef BABOL_CORE_ECC_HH
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "nand/geometry.hh"
+#include "sim/logging.hh"
 
 namespace babol::core {
 
@@ -47,7 +51,12 @@ struct EccReport
 class EccEngine
 {
   public:
-    explicit EccEngine(EccParams params = {}) : params_(params) {}
+    explicit EccEngine(EccParams params = {}) : params_(params)
+    {
+        babol_assert(params_.codewordDataBytes > 0 &&
+                         params_.parityBytes >= 4,
+                     "ECC codewords need data and 4 checksum bytes");
+    }
 
     const EccParams &params() const { return params_; }
 
@@ -91,14 +100,18 @@ class EccEngine
                      std::uint32_t page_column,
                      std::span<const std::uint32_t> flips) const;
 
-    /** Extract the payload bytes from a decoded flash image. */
+    /** Extract the first @p data_bytes payload bytes of a decoded
+     *  flash image. */
     std::vector<std::uint8_t>
     extractData(std::span<const std::uint8_t> image,
                 std::uint32_t data_bytes) const;
 
-  private:
-    std::uint32_t checksum(std::span<const std::uint8_t> data) const;
+    /** Extract the first out.size() payload bytes of a decoded flash
+     *  image into @p out: one copy per codeword. */
+    void extractData(std::span<const std::uint8_t> image,
+                     std::span<std::uint8_t> out) const;
 
+  private:
     EccParams params_;
 };
 

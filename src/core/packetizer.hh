@@ -73,11 +73,12 @@ class Packetizer : public SimObject
         }
         report = ecc_.decode(bytes, dr.pageColumn, flips);
         if (dr.toDram) {
-            std::uint32_t payload =
-                static_cast<std::uint32_t>(bytes.size()) /
-                ecc_.codewordTotalBytes() * ecc_.params().codewordDataBytes;
-            dram_.write(dr.dramAddr, ecc_.extractData(bytes, payload),
-                        curTick());
+            // One DRAM write per descriptor keeps the power rail's
+            // activity windows what they are for the whole payload.
+            payload_.resize(bytes.size() / ecc_.codewordTotalBytes() *
+                            ecc_.params().codewordDataBytes);
+            ecc_.extractData(bytes, payload_);
+            dram_.write(dr.dramAddr, payload_, curTick());
         }
         return report;
     }
@@ -88,6 +89,9 @@ class Packetizer : public SimObject
     dram::DramBuffer &dram_;
     EccEngine &ecc_;
     mutable std::uint64_t descriptors_ = 0;
+    /** Extracted payload, reused across deliveries. Each channel owns
+     *  its Packetizer, so one shard's thread is the only user. */
+    mutable std::vector<std::uint8_t> payload_;
 };
 
 } // namespace babol::core

@@ -936,7 +936,7 @@ Lun::loadPageIntoPlane(const RowAddress &row)
     PageLoad load = array_.readPage(row.block, row.page, retryLevel_,
                                     slc_read, curTick());
     injectReadFaults(load, row.block, row.page);
-    pl.dataReg = load.data;
+    pl.dataReg = std::move(load.data);
     pl.dataFlips = std::move(load.flippedBits);
     pl.dataValid = true;
     pl.dataRow = row;
@@ -1032,7 +1032,7 @@ Lun::startCacheTurn(std::optional<RowAddress> next)
                                                 retryLevel_, slc_read,
                                                 curTick());
                 injectReadFaults(load, row.block, row.page);
-                target.dataReg = load.data;
+                target.dataReg = std::move(load.data);
                 target.dataFlips = std::move(load.flippedBits);
                 target.dataValid = true;
                 target.dataRow = row;

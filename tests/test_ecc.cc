@@ -1,7 +1,8 @@
 /**
  * @file
  * ECC engine tests: codeword layout, correction capability, failure
- * detection, payload extraction, and the flash-column mapping.
+ * detection (with and without a sideband flip), payload extraction
+ * against a byte-at-a-time reference, and the flash-column mapping.
  */
 
 #include <gtest/gtest.h>
@@ -132,6 +133,12 @@ TEST(Ecc, FlipsOutsideCaptureAreIgnored)
     EccReport report = ecc.decode(image, 0, far);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.correctedBits, 0u);
+
+    // And positions before a capture that starts at codeword 1.
+    std::vector<std::uint32_t> before{0u, 1140u * 8 + 7};
+    report = ecc.decode(image, ecc.flashColumnFor(1024), before);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.correctedBits, 0u);
 }
 
 TEST(Ecc, RawUnencodedPagesFailChecksum)
@@ -140,6 +147,96 @@ TEST(Ecc, RawUnencodedPagesFailChecksum)
     std::vector<std::uint8_t> raw(1141, 0xFF); // never went through encode
     EccReport report = ecc.decode(raw, 0, {});
     EXPECT_FALSE(report.ok());
+    std::vector<std::uint8_t> zeros(1141, 0x00);
+    EXPECT_FALSE(ecc.decode(zeros, 0, {}).ok());
+}
+
+/** Corruption the sideband never reported (phase skew, a bad capture)
+ *  is caught by the checksum alone: one byte changed at any offset of a
+ *  codeword's data — every word and lane boundary included — fails that
+ *  codeword and only that one. */
+TEST(Ecc, CorruptByteAnywhereWithoutFlipFailsItsCodeword)
+{
+    EccEngine ecc;
+    Rng rng(0xC0DE);
+    std::vector<std::uint8_t> data(2048);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+    const auto image = ecc.encode(data);
+    auto clean = image;
+    ASSERT_TRUE(ecc.decode(clean, 0, {}).ok());
+
+    for (std::uint32_t cw = 0; cw < 2; ++cw) {
+        for (std::uint32_t off = 0; off < 1024; ++off) {
+            for (std::uint8_t x : {0x01, 0x80, 0xFF}) {
+                auto bad = image;
+                bad[cw * 1141 + off] ^= x;
+                EccReport report = ecc.decode(bad, 0, {});
+                EXPECT_EQ(report.failedCodewords, 1u)
+                    << "codeword " << cw << " offset " << off;
+            }
+        }
+    }
+
+    // The bus's phase-skew capture: every other byte inverted.
+    auto skewed = image;
+    for (std::size_t i = 0; i < skewed.size(); i += 2)
+        skewed[i] ^= 0xFF;
+    EXPECT_EQ(ecc.decode(skewed, 0, {}).failedCodewords, 2u);
+}
+
+/** Codeword sizes that leave a partial lane block (1000) and a partial
+ *  word (1021) round-trip, and their last data byte is still covered. */
+TEST(Ecc, OddCodewordSizesRoundTripAndCoverTheLastByte)
+{
+    for (std::uint32_t cw_data : {1000u, 1021u}) {
+        EccParams params;
+        params.codewordDataBytes = cw_data;
+        EccEngine ecc(params);
+        Rng rng(cw_data);
+        std::vector<std::uint8_t> data(cw_data * 5 / 2); // 3 codewords
+        for (auto &b : data)
+            b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+
+        auto image = ecc.encode(data);
+        ASSERT_EQ(image.size(), 3u * ecc.codewordTotalBytes());
+        EccReport report = ecc.decode(image, 0, {});
+        EXPECT_TRUE(report.ok()) << cw_data;
+        EXPECT_EQ(report.codewords, 3u);
+        EXPECT_EQ(ecc.extractData(image, data.size()), data) << cw_data;
+
+        for (std::uint32_t cw = 0; cw < 3; ++cw) {
+            auto bad = image;
+            bad[cw * ecc.codewordTotalBytes() + cw_data - 1] ^= 0x01;
+            EXPECT_EQ(ecc.decode(bad, 0, {}).failedCodewords, 1u)
+                << cw_data << " codeword " << cw;
+        }
+    }
+}
+
+/** extractData against a byte-at-a-time reference, on random images,
+ *  for payloads of whole codewords and one (1500 bytes) that ends
+ *  partway through a codeword. */
+TEST(Ecc, ExtractMatchesByteAtATimeReference)
+{
+    EccEngine ecc;
+    Rng rng(0xE87);
+    for (std::uint32_t bytes : {1500u, 4096u, 16384u}) {
+        std::vector<std::uint8_t> image(ecc.flashBytesFor(bytes));
+        for (auto &b : image)
+            b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+
+        std::vector<std::uint8_t> want(bytes);
+        for (std::uint32_t off = 0; off < bytes; ++off)
+            want[off] = image[off / 1024 * 1141 + off % 1024];
+
+        EXPECT_EQ(ecc.extractData(image, bytes), want) << bytes;
+        std::vector<std::uint8_t> out(bytes, 0x5A);
+        ecc.extractData(image, out);
+        EXPECT_EQ(out, want) << bytes;
+    }
+    std::vector<std::uint8_t> short_image(1141);
+    EXPECT_THROW(ecc.extractData(short_image, 1025), SimPanic);
 }
 
 TEST(Ecc, NonCodewordAlignedDecodePanics)
