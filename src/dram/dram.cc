@@ -1,6 +1,6 @@
 #include "dram.hh"
 
-#include <algorithm>
+#include <cstring>
 
 namespace babol::dram {
 
@@ -9,20 +9,26 @@ DramBuffer::DramBuffer(EventQueue &eq, const std::string &name,
                        Tick setup_latency,
                        obs::power::PowerModel *power)
     : SimObject(eq, name),
-      mem_(bytes, 0),
+      size_(bytes),
+      mem_(static_cast<std::uint8_t *>(std::calloc(bytes, 1))),
       bandwidthMBps_(bandwidth_mbps),
       setupLatency_(setup_latency),
       power_(power, eq, name, {"rd", "wr"},
              obs::power::modelOf(power).params().dramStandbyMw)
-{}
+{
+    if (!mem_ && bytes != 0)
+        fatal("%s: cannot allocate %llu bytes of DRAM", name.c_str(),
+              static_cast<unsigned long long>(bytes));
+}
 
 void
 DramBuffer::checkRange(std::uint64_t addr, std::uint64_t len) const
 {
-    babol_assert(addr + len <= mem_.size(),
-                 "DRAM access [%llu, %llu) exceeds capacity %zu",
+    babol_assert(addr + len <= size_,
+                 "DRAM access [%llu, %llu) exceeds capacity %llu",
                  static_cast<unsigned long long>(addr),
-                 static_cast<unsigned long long>(addr + len), mem_.size());
+                 static_cast<unsigned long long>(addr + len),
+                 static_cast<unsigned long long>(size_));
 }
 
 void
@@ -30,7 +36,8 @@ DramBuffer::write(std::uint64_t addr, std::span<const std::uint8_t> data,
                   Tick at)
 {
     checkRange(addr, data.size());
-    std::copy(data.begin(), data.end(), mem_.begin() + addr);
+    if (!data.empty())
+        std::memcpy(mem_.get() + addr, data.data(), data.size());
     bytesWritten_.fetch_add(data.size(), std::memory_order_relaxed);
     if (power_.enabled()) {
         const Tick t0 = at == kOwnClock ? curTick() : at;
@@ -46,8 +53,8 @@ DramBuffer::read(std::uint64_t addr, std::span<std::uint8_t> out,
                  Tick at) const
 {
     checkRange(addr, out.size());
-    std::copy(mem_.begin() + addr, mem_.begin() + addr + out.size(),
-              out.begin());
+    if (!out.empty())
+        std::memcpy(out.data(), mem_.get() + addr, out.size());
     bytesRead_.fetch_add(out.size(), std::memory_order_relaxed);
     if (power_.enabled()) {
         const Tick t0 = at == kOwnClock ? curTick() : at;

@@ -4,7 +4,9 @@
  *
  * Host data is staged here by the HIC and moved to/from the channel by
  * the Packetizer (the BABOL DMA unit). The backing store is a flat byte
- * array; the timing model charges a fixed setup latency plus a bandwidth
+ * array from calloc: a block this large (64-256 MiB per device) comes
+ * as fresh zero pages, so pages a run never touches are never faulted
+ * in. The timing model charges a fixed setup latency plus a bandwidth
  * term per transfer. DRAM bandwidth is far above a single channel's
  * (as in the real Cosmos+), so it rarely becomes the bottleneck — but it
  * is modeled so that misconfigured systems can observe it.
@@ -15,8 +17,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "obs/power/power.hh"
 #include "sim/sim_object.hh"
@@ -38,7 +41,7 @@ class DramBuffer : public SimObject
                Tick setup_latency = 200 * ticks::perNs,
                obs::power::PowerModel *power = nullptr);
 
-    std::uint64_t size() const { return mem_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /** "Stamp the access with my own queue's clock" — the right value
      *  for callers living on the DRAM's queue (host-side HIC/NVMe).
@@ -75,7 +78,12 @@ class DramBuffer : public SimObject
   private:
     void checkRange(std::uint64_t addr, std::uint64_t len) const;
 
-    std::vector<std::uint8_t> mem_;
+    struct Free
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+    std::uint64_t size_;
+    std::unique_ptr<std::uint8_t[], Free> mem_;
     double bandwidthMBps_;
     Tick setupLatency_;
 
