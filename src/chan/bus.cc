@@ -32,17 +32,6 @@ ChannelBus::package(std::uint32_t i)
     return *packages_[i];
 }
 
-std::vector<nand::Package *>
-ChannelBus::selected(std::uint32_t ce_mask) const
-{
-    std::vector<nand::Package *> out;
-    for (std::uint32_t i = 0; i < packages_.size(); ++i) {
-        if (ce_mask & (1u << i))
-            out.push_back(packages_[i]);
-    }
-    return out;
-}
-
 void
 ChannelBus::setPhaseSkew(std::uint32_t pkg, Tick skew_ps)
 {
@@ -82,22 +71,22 @@ ChannelBus::phaseOk(std::uint32_t pkg) const
 void
 ChannelBus::checkModeMatch(std::uint32_t ce_mask) const
 {
-    for (nand::Package *pkg : selected(ce_mask)) {
-        if (pkg->dataInterface() != phy_.mode()) {
+    forEachSelected(ce_mask, [this](const nand::Package &pkg) {
+        if (pkg.dataInterface() != phy_.mode()) {
             panic("%s: PHY is in %s but %s is configured for %s "
                   "(bring-up/SET FEATURES mismatch)",
                   name().c_str(), nand::toString(phy_.mode()),
-                  pkg->name().c_str(),
-                  nand::toString(pkg->dataInterface()));
+                  pkg.name().c_str(),
+                  nand::toString(pkg.dataInterface()));
         }
         if (phy_.mode() == nand::DataInterface::Nvddr2 &&
-            pkg->transferMT() != phy_.rateMT()) {
+            pkg.transferMT() != phy_.rateMT()) {
             panic("%s: PHY runs at %u MT/s but %s is configured for "
                   "%u MT/s",
-                  name().c_str(), phy_.rateMT(), pkg->name().c_str(),
-                  pkg->transferMT());
+                  name().c_str(), phy_.rateMT(), pkg.name().c_str(),
+                  pkg.transferMT());
         }
-    }
+    });
 }
 
 void
@@ -165,8 +154,9 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
                 latchTicks += phy_.commandCycle();
                 eq_.schedule(start + offset, [this, mask, cmd, ctx] {
                     obs::Hub::ScopedCtx scope(ctx);
-                    for (nand::Package *pkg : selected(mask))
-                        pkg->commandLatch(cmd);
+                    forEachSelected(mask, [cmd](nand::Package &pkg) {
+                        pkg.commandLatch(cmd);
+                    });
                 }, "cmd latch");
             }
             break;
@@ -184,8 +174,9 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
                 latchTicks += phy_.addressCycle();
                 eq_.schedule(start + offset, [this, mask, byte, ctx] {
                     obs::Hub::ScopedCtx scope(ctx);
-                    for (nand::Package *pkg : selected(mask))
-                        pkg->addressLatch(byte);
+                    forEachSelected(mask, [byte](nand::Package &pkg) {
+                        pkg.addressLatch(byte);
+                    });
                 }, "addr latch");
             }
             break;
@@ -211,8 +202,9 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
             eq_.schedule(burst_start + dur,
                          [this, mask, bytes, burst_start, ctx] {
                 obs::Hub::ScopedCtx scope(ctx);
-                for (nand::Package *pkg : selected(mask))
-                    pkg->dataIn(*bytes, burst_start);
+                forEachSelected(mask, [&](nand::Package &pkg) {
+                    pkg.dataIn(*bytes, burst_start);
+                });
             }, "data-in burst");
             break;
           }
@@ -236,21 +228,22 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
                                        burst_start, ctx] {
                 obs::Hub::ScopedCtx scope(ctx);
                 checkModeMatch(mask);
-                std::vector<nand::Package *> pkgs = selected(mask);
-                if (pkgs.size() != 1) {
+                const std::uint32_t sel = attachedBits(mask);
+                const int chips = std::popcount(sel);
+                if (chips != 1) {
                     auto &a = obs::audit::auditor();
                     if (a.armed()) {
                         a.report(obs::audit::Check::Channel,
                                  "chan.ce-overlap", name(), curTick(),
-                                 strfmt("data-out with %zu chips enabled "
+                                 strfmt("data-out with %d chips enabled "
                                         "(ceMask 0x%x)",
-                                        pkgs.size(), mask));
+                                        chips, mask));
                     } else {
-                        panic("%s: data-out with %zu chips enabled "
+                        panic("%s: data-out with %d chips enabled "
                               "(ceMask 0x%x)",
-                              name().c_str(), pkgs.size(), mask);
+                              name().c_str(), chips, mask);
                     }
-                    if (pkgs.empty()) {
+                    if (chips == 0) {
                         // Nothing drives DQ: the capture reads back 0s.
                         result->dataOut.resize(result->dataOut.size() +
                                                count);
@@ -261,15 +254,13 @@ ChannelBus::issue(Segment seg, std::function<void(SegmentResult)> done)
                 result->dataOut.resize(base + count);
                 std::span<std::uint8_t> dst(result->dataOut.data() + base,
                                             count);
-                pkgs.front()->dataOut(dst, burst_start);
+                packages_[std::countr_zero(sel)]->dataOut(dst,
+                                                          burst_start);
 
-                // Mis-calibrated sampling phase corrupts the capture.
-                std::uint32_t pkg_idx = 0;
-                for (std::uint32_t i = 0; i < packages_.size(); ++i) {
-                    if (mask & (1u << i))
-                        pkg_idx = i;
-                }
-                if (!phaseOk(pkg_idx)) {
+                // Mis-calibrated sampling phase corrupts the capture
+                // (judged by the highest enabled package).
+                if (!phaseOk(static_cast<std::uint32_t>(
+                        std::bit_width(sel) - 1))) {
                     for (std::size_t i = 0; i < dst.size(); i += 2)
                         dst[i] ^= 0xFF;
                 }

@@ -12,6 +12,7 @@
 #ifndef BABOL_CHAN_BUS_HH
 #define BABOL_CHAN_BUS_HH
 
+#include <bit>
 #include <functional>
 #include <vector>
 
@@ -90,7 +91,22 @@ class ChannelBus : public SimObject
 
   private:
     void checkModeMatch(std::uint32_t ce_mask) const;
-    std::vector<nand::Package *> selected(std::uint32_t ce_mask) const;
+
+    /** The bits of @p ce_mask that name an attached package. */
+    std::uint32_t attachedBits(std::uint32_t ce_mask) const
+    {
+        return packages_.size() >= 32
+                   ? ce_mask
+                   : ce_mask & ((1u << packages_.size()) - 1);
+    }
+
+    /** Call @p fn on every package @p ce_mask enables, lowest first. */
+    template <typename Fn>
+    void forEachSelected(std::uint32_t ce_mask, Fn &&fn) const
+    {
+        for (std::uint32_t m = attachedBits(ce_mask); m != 0; m &= m - 1)
+            fn(*packages_[std::countr_zero(m)]);
+    }
 
     Phy phy_;
     BusTrace trace_;
