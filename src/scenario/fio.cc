@@ -168,12 +168,14 @@ runFio(Spec &spec)
                         static_cast<double>(e1 - e0) / 400 / 1e6);
         }
         std::printf("\n");
+        // While this phase's engine (and its fio.* metrics) still
+        // exists; the last phase's capture is the one written.
+        spec.obs.captureMetrics(eq);
     }
 
     if (fault::engine().armed())
         std::printf("\n%s\n", fault::engine().summary().c_str());
 
-    spec.obs.captureMetrics(eq);
     int status = spec.obs.finalize();
 
     std::printf("\nRun with 'rtos' or 'hw' to compare flavours on the "
