@@ -2,12 +2,15 @@
  * @file
  * Host-side microbenchmarks (google-benchmark) of the simulation
  * substrate's hot primitives: event-queue throughput, coroutine
- * creation/resume, ECC encode/decode, the LUN command decoder, and the
- * waveform emitter. These bound how fast the experiment harnesses run,
- * not the simulated SSD itself.
+ * creation/resume, ECC encode/decode/extract against a plain copy of
+ * the same flash image, the LUN command decoder, and the waveform
+ * emitter. These bound how fast the experiment harnesses run, not the
+ * simulated SSD itself.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
 
 #include "core/coro/op_task.hh"
 #include "core/ufsm.hh"
@@ -96,6 +99,37 @@ BM_EccDecode(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 16384);
 }
 BENCHMARK(BM_EccDecode);
+
+void
+BM_EccExtract(benchmark::State &state)
+{
+    EccEngine ecc;
+    std::vector<std::uint8_t> page(16384, 0xA7);
+    auto image = ecc.encode(page);
+    for (auto _ : state) {
+        auto data = ecc.extractData(image, 16384);
+        benchmark::DoNotOptimize(data.data());
+    }
+    state.SetBytesProcessed(state.iterations() * 16384);
+}
+BENCHMARK(BM_EccExtract);
+
+/** The floor the ECC benchmarks are held to: one plain copy of the
+ *  16 x 1141-byte flash image a 16 KiB page becomes. */
+void
+BM_FlashImageCopy(benchmark::State &state)
+{
+    EccEngine ecc;
+    std::vector<std::uint8_t> image(ecc.flashBytesFor(16384), 0xA7);
+    std::vector<std::uint8_t> copy(image.size());
+    for (auto _ : state) {
+        std::memcpy(copy.data(), image.data(), image.size());
+        benchmark::DoNotOptimize(copy.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * 16384);
+}
+BENCHMARK(BM_FlashImageCopy);
 
 void
 BM_LunStatusPollDecode(benchmark::State &state)

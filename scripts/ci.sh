@@ -29,11 +29,11 @@
 #                  flavour under BABOL_AUDIT=1, a byte-identical-rerun
 #                  determinism check, and a clean-shutdown remount
 #                  (same build requirement)
-#   --guard-only   bench-regression + tracing-overhead guards and the
-#                  determinism smokes: fig12 --threads 1/2/4 must print
-#                  byte-identical tables, and the multi-tenant SLO JSON
-#                  must be byte-identical across thread counts (same
-#                  build requirement)
+#   --guard-only   bench-regression, tracing-overhead and ECC-cost
+#                  guards and the determinism smokes: fig12 --threads
+#                  1/2/4 must print byte-identical tables, and the
+#                  multi-tenant SLO JSON must be byte-identical across
+#                  thread counts (same build requirement)
 #   --reliability-only  media-decay campaign: a die killed mid-workload
 #                  on every controller flavour under BABOL_AUDIT=1 with
 #                  RAIN + patrol scrub on, asserting zero acknowledged
@@ -351,6 +351,31 @@ stage_guard() {
             exit 1
         }
     fi
+
+    # ECC-cost guard: encoding, decoding and extracting one 16 KiB page
+    # must cost under 100 plain copies of its flash image. Both sides
+    # are medians of the same run, so the bound is a ratio that holds
+    # on any machine. The byte-at-a-time engine read about 460.
+    echo "=== tier-1: ECC cost guard (encode+decode+extract < 100x copy) ==="
+    "$ROOT/build/bench/micro_primitives" --benchmark_color=false \
+        --benchmark_filter='^BM_(EccEncode|EccDecode|EccExtract|FlashImageCopy)$' \
+        --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+        --benchmark_time_unit=ns > "$ROOT/build/bench_ecc_guard.txt"
+    awk -v k=100 '
+        $1 ~ /^BM_Ecc(Encode|Decode|Extract)_median$/ { ecc += $4; n++ }
+        $1 == "BM_FlashImageCopy_median" { copy = $4 }
+        END {
+            if (n != 3 || copy <= 0) {
+                print "FAIL: ECC guard benchmarks missing from the output"
+                exit 1
+            }
+            printf "    encode+decode+extract %.0f ns, image copy %.0f ns:" \
+                   " ratio %.1f\n", ecc, copy, ecc / copy
+            if (ecc > k * copy) {
+                printf "FAIL: ECC costs more than %d image copies\n", k
+                exit 1
+            }
+        }' "$ROOT/build/bench_ecc_guard.txt"
 
     # Sharded determinism smoke: the fig12 workload on the sharded
     # engine is a pure function of the model, so the printed table must
